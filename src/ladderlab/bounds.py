@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .errors import AnnotationMismatch
+from .errors import AnnotationMismatch, LadderLabError
 from .groups import FactorGroup
 from .ladder import qf_stability_index
 from .ramsey import (
@@ -31,6 +31,7 @@ from .words import (
     GroupWord,
     block_decompose,
     change_of_variables,
+    parse_word,
     render_word,
     word_shape,
 )
@@ -239,6 +240,11 @@ class BoundCertificate:
         )
 
 
+def _proper_subranges(i: int, j: int) -> list[tuple[int, int]]:
+    """Every proper contiguous subrange of blocks i..j, in trace order."""
+    return [(a, b) for a in range(i, j + 1) for b in range(a, j + 1) if (a, b) != (i, j)]
+
+
 def lemma_bound(
     decomp: BlockDecomposition,
     base: BaseOracle,
@@ -291,20 +297,17 @@ def lemma_bound(
             )
         else:
             subs: list[SubproductRef] = []
-            for a in range(i, j + 1):
-                for b in range(a, j + 1):
-                    if (a, b) == (i, j):
-                        continue
-                    sub = bound_for(a, b)
-                    if sub.kind == "base":
-                        # single blocks carry both polarities from the oracle
-                        eq_v = bv_exact(sub.eq_index)
-                        neq_v = bv_exact(sub.neq_index)
-                    else:
-                        eq_v = sub.value
-                        neq_v = bv_succ(sub.value)
-                    subs.append(SubproductRef(a, b, "eq", eq_v))
-                    subs.append(SubproductRef(a, b, "neq", neq_v))
+            for a, b in _proper_subranges(i, j):
+                sub = bound_for(a, b)
+                if sub.kind == "base":
+                    # single blocks carry both polarities from the oracle
+                    eq_v = bv_exact(sub.eq_index)
+                    neq_v = bv_exact(sub.neq_index)
+                else:
+                    eq_v = sub.value
+                    neq_v = bv_succ(sub.value)
+                subs.append(SubproductRef(a, b, "eq", eq_v))
+                subs.append(SubproductRef(a, b, "neq", neq_v))
             mu = bv_succ(bv_max([s.value for s in subs]))
             colors = CASES_PER_BLOCK**ell
             rc = RangeCert(
@@ -362,76 +365,75 @@ def theorem_bound(
     )
 
 
-def _polar_value(cert: BoundCertificate, start: int, stop: int, polarity: str, value_for) -> BoundValue:
-    rc = cert.ranges[(start, stop)]
-    if rc.kind == "base":
-        return bv_exact(rc.eq_index if polarity == "eq" else rc.neq_index)
-    sub = value_for((start, stop))
-    return sub if polarity == "eq" else bv_succ(sub)
+def _walk_certificate(cert: BoundCertificate, check: bool) -> BoundValue:
+    """Recompute the bound from the base entries by the recursion's rules,
+    shortest ranges first. With ``check``, also require the trace to be the
+    one the rules give - ``ell`` is the rewritten word's block count, the
+    root spans all ``ell`` blocks, a base entry spans one block, a composite
+    entry has ``4**len`` colors and exactly the proper contiguous subranges
+    in both polarities, and every recorded value is the recomputed node (the
+    same object, as nodes are hash-consed) - and raise ValueError at the
+    first entry that is not."""
+    if check and block_decompose(parse_word(cert.rewritten)).ell != cert.ell:
+        raise ValueError(f"the rewritten word does not have {cert.ell} blocks")
+    if cert.root is None:  # the empty word
+        value = bv_exact(1)
+        if check and (cert.ell != 0 or cert.ranges or cert.bound is not value):
+            raise ValueError("a certificate without a root must have no blocks and bound 1")
+        return value
+    first, last = cert.root
+    if last < first or (check and (first, last) != (0, cert.ell - 1)):
+        raise ValueError(f"root {cert.root} does not span the {cert.ell} blocks")
+    polar: dict[tuple[int, int, str], BoundValue] = {}
+    for length in range(1, last - first + 2):
+        for i in range(first, last - length + 2):
+            key = (i, i + length - 1)
+            rc = cert.ranges.get(key)
+            if rc is None or (rc.start, rc.stop) != key:
+                raise ValueError(f"range {key} is missing")
+            if length == 1:
+                if check and rc.kind != "base":
+                    raise ValueError(f"range {key} is one block but not a base entry")
+                eq, neq = bv_exact(rc.eq_index), bv_exact(rc.neq_index)
+                value = bv_exact(max(rc.eq_index, rc.neq_index))
+            else:
+                subs = [(a, b, pol) for a, b in _proper_subranges(*key) for pol in ("eq", "neq")]
+                mu = bv_succ(bv_max([polar[s] for s in subs]))
+                colors = CASES_PER_BLOCK**length
+                value = bv_ramsey(colors, mu)
+                if check:
+                    recorded = {(s.start, s.stop, s.polarity): s.value for s in rc.subproducts}
+                    if rc.kind != "ramsey" or rc.colors != colors:
+                        raise ValueError(f"range {key} does not apply {colors} colors")
+                    if len(rc.subproducts) != len(subs) or any(
+                        recorded.get(s) is not polar[s] for s in subs
+                    ):
+                        raise ValueError(f"range {key} has wrong subproducts")
+                    if rc.mu is not mu:
+                        raise ValueError(f"mu mismatch at range {key}")
+                eq, neq = value, bv_succ(value)
+            if check and rc.value is not value:
+                raise ValueError(f"value mismatch at range {key}")
+            polar[key + ("eq",)] = eq
+            polar[key + ("neq",)] = neq
+    if check and cert.bound is not value:
+        raise ValueError("the bound is not the root range's value")
+    return value
 
 
 def replay_certificate(cert: BoundCertificate) -> BoundValue:
-    """Recompute the bound from the trace alone (base indices are inputs)."""
-    if cert.root is None:
-        return bv_exact(1)
-    memo: dict[tuple[int, int], BoundValue] = {}
-
-    def value_for(key: tuple[int, int]) -> BoundValue:
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        rc = cert.ranges[key]
-        if rc.kind == "base":
-            value = bv_exact(max(rc.eq_index, rc.neq_index))
-        else:
-            parts = [
-                _polar_value(cert, s.start, s.stop, s.polarity, value_for)
-                for s in rc.subproducts
-            ]
-            mu = bv_succ(bv_max(parts))
-            value = bv_ramsey(rc.colors, mu)
-        memo[key] = value
-        return value
-
-    return value_for(cert.root)
+    """Recompute the bound from the trace's base indices alone."""
+    return _walk_certificate(cert, check=False)
 
 
 def verify_certificate(cert: BoundCertificate) -> bool:
-    """Replay every recorded intermediate and the root bound."""
-    if cert.root is None:
-        return cert.bound == bv_exact(1)
-    memo: dict[tuple[int, int], BoundValue] = {}
-
-    def check(key: tuple[int, int]) -> BoundValue:
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        rc = cert.ranges[key]
-        if rc.kind == "base":
-            value = bv_exact(max(rc.eq_index, rc.neq_index))
-        else:
-            parts = []
-            for s in rc.subproducts:
-                check((s.start, s.stop))
-                expect = _polar_value(cert, s.start, s.stop, s.polarity, check)
-                if expect != s.value:
-                    raise ValueError(
-                        f"subproduct {s.start}-{s.stop} ({s.polarity}) mismatch"
-                    )
-                parts.append(expect)
-            mu = bv_succ(bv_max(parts))
-            if mu != rc.mu:
-                raise ValueError(f"mu mismatch at range {key}")
-            value = bv_ramsey(rc.colors, mu)
-        if value != rc.value:
-            raise ValueError(f"value mismatch at range {key}")
-        memo[key] = value
-        return value
-
+    """True iff the trace follows the bound rules and every recorded
+    intermediate, and the bound, is what they give."""
     try:
-        return check(cert.root) == cert.bound
-    except ValueError:
+        _walk_certificate(cert, check=True)
+    except (ValueError, TypeError, LadderLabError):
         return False
+    return True
 
 
 def certificate_le(c1: BoundCertificate, c2: BoundCertificate) -> bool | None:

@@ -100,7 +100,6 @@ def cmd_index(args) -> int:
             domain,
             cutoff=args.cutoff,
             branch_cap=args.cap,
-            threads=args.threads,
         )
     payload = {
         "word": args.word,
@@ -158,7 +157,6 @@ def cmd_verify(args) -> int:
         args.radius,
         cutoff=args.cutoff,
         ball_cap=args.cap,
-        threads=args.threads,
         force_bound=args.force_bound,
     )
     _emit(args, report.to_json(), report.human_table(), report.csv_row())
@@ -198,22 +196,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit a JSON document")
         p.add_argument("--csv", action="store_true", help="emit flat CSV rows")
         p.add_argument(
-            "--threads", type=int, default=1, help="worker cap for the ladder search"
+            "--threads",
+            type=int,
+            default=1,
+            help="accepted and ignored: the ladder search is single-threaded",
         )
         p.add_argument(
             "--cap",
             type=int,
             default=DEFAULT_BALL_CAP,
             help="resource cap for ball members / search branching",
-        )
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=None,
-            help=(
-                "seed for randomized test-corpus generation only; core "
-                "computations are deterministic and ignore it"
-            ),
         )
 
     p = sub.add_parser("reduce", help="reduce a raw letter sequence to normal form")

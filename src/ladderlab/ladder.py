@@ -8,7 +8,6 @@ extensions; the module is deliberately a transparent brute-force oracle.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import Callable, Sequence
@@ -224,14 +223,6 @@ class _Search:
         return False
 
 
-def _witness_key(ladder: Ladder, value_index: dict) -> tuple:
-    rows = []
-    for a, b in zip(ladder.a_rows, ladder.b_rows):
-        rows.append(tuple(value_index[v] for v in a))
-        rows.append(tuple(value_index[v] for v in b))
-    return tuple(rows)
-
-
 def max_ladder(
     formula: Formula,
     domain: SearchDomain,
@@ -245,8 +236,8 @@ def max_ladder(
 
     Rows range over the domain coordinatewise; per-coordinate domains may be
     supplied for factor-constrained searches. The reported witness is the
-    lexicographically least (by domain order) among maximal ladders, and the
-    result is independent of the thread count.
+    lexicographically least (by domain order) among maximal ladders. The
+    search is single-threaded; ``threads`` is accepted and ignored.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
@@ -264,41 +255,9 @@ def max_ladder(
     a_cands = tuple(product(*[d.values for d in a_doms]))
     b_cands = tuple(product(*[d.values for d in b_doms]))
 
-    value_index: dict = {}
-    for d in [domain] + a_doms + b_doms:
-        for i, v in enumerate(d.values):
-            value_index.setdefault(v, i)
-
-    if threads <= 1 or len(a_cands) <= 1:
-        search = _Search(formula, a_cands, b_cands, cutoff)
-        search.run(a_cands)
-        return IndexResult(search.best_m, search.best, search.cutoff_hit, search.nodes)
-
-    # Split the depth-1 a-row choices across workers; each branch is searched
-    # independently and the merge is order-deterministic.
-    def branch(a_first) -> _Search:
-        s = _Search(formula, a_cands, b_cands, cutoff)
-        s.run((a_first,))
-        return s
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(branch, a_cands))
-
-    best = Ladder(0, (), ())
-    best_m = 0
-    nodes = 0
-    cutoff_hit = False
-    for s in results:
-        nodes += s.nodes
-        cutoff_hit = cutoff_hit or s.cutoff_hit
-        if s.best_m > best_m or (
-            s.best_m == best_m
-            and best_m > 0
-            and _witness_key(s.best, value_index) < _witness_key(best, value_index)
-        ):
-            best_m = s.best_m
-            best = s.best
-    return IndexResult(best_m, best, cutoff_hit, nodes)
+    search = _Search(formula, a_cands, b_cands, cutoff)
+    search.run(a_cands)
+    return IndexResult(search.best_m, search.best, search.cutoff_hit, search.nodes)
 
 
 def _used_positions(w: GroupWord) -> tuple[list[int], list[int]]:
@@ -353,13 +312,11 @@ def word_index(
     the used coordinates and pads back), so the search runs on the
     position-renumbered word and the witness is padded back to the original
     arity with the least domain value, keeping it the lexicographically
-    least maximal ladder.
+    least maximal ladder. ``threads`` is accepted and ignored.
     """
     reduced, xs, ys = _renumber_by_position(w)
     formula = word_formula(context, reduced, negated=negated)
-    result = max_ladder(
-        formula, domain, cutoff=cutoff, branch_cap=branch_cap, threads=threads
-    )
+    result = max_ladder(formula, domain, cutoff=cutoff, branch_cap=branch_cap)
     if result.witness is None or (len(xs) == w.arity_x and len(ys) == w.arity_y):
         return result
     pad = domain.values[0]

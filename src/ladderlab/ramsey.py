@@ -27,6 +27,7 @@ the recurrence, each property-tested against the naive recursion:
 from __future__ import annotations
 
 import math
+import weakref
 from collections import Counter
 from typing import Iterable
 
@@ -196,19 +197,40 @@ def ramsey_sat(colors: int, target: int, cap: int) -> int:
 
 # -- lazy bound values -------------------------------------------------------
 
+# Hash-consing table: constructing a node equal to a live one returns that
+# node, so equal values are identical. Held weakly; unused nodes are freed.
+_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
 
 class BoundValue:
-    """A natural number that may be too large to materialize."""
+    """A natural number that may be too large to materialize. Interned on
+    (class, fields), the fields being the subclass's ``__slots__`` in
+    argument order; ``==`` and hashing are by identity. Subclasses define
+    ``_structure``: the structural hash (ints only, so stable across
+    processes) and the sort key built from it."""
 
-    __slots__ = ("_hash", "_key")
+    __slots__ = ("_hash", "_key", "__weakref__")
     kind = "abstract"
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, *fields):
+        if len(fields) != len(cls.__slots__):
+            raise TypeError(f"{cls.__name__} takes fields {cls.__slots__}")
+        key = (cls, *fields)
+        node = _INTERNED.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls.__slots__, fields):
+                setattr(node, name, value)
+            node._hash, node._key = node._structure()
+            _INTERNED[key] = node
+        return node
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in type(self).__slots__)
 
     def sort_key(self) -> tuple:
         """Deterministic ordering key: kind rank, a local size parameter, and
-        the structural hash (ints only, so stable across processes)."""
+        the structural hash."""
         return self._key
 
     def render(self, limit: int = 4000) -> str:
@@ -222,67 +244,40 @@ class BExact(BoundValue):
     __slots__ = ("value",)
     kind = "exact"
 
-    def __init__(self, value: int):
+    def __new__(cls, value: int):
         if value < 0:
             raise ValueError("bound values are naturals")
-        self.value = value
-        self._hash = hash((0, value))
-        self._key = (0, value, 0)
+        return super().__new__(cls, value)
 
-    def __eq__(self, other):
-        return isinstance(other, BExact) and other.value == self.value
-
-    __hash__ = BoundValue.__hash__
+    def _structure(self):
+        return hash((0, self.value)), (0, self.value, 0)
 
 
 class BSucc(BoundValue):
     __slots__ = ("base",)
     kind = "succ"
 
-    def __init__(self, base: BoundValue):
-        self.base = base
-        self._hash = hash((1, base._hash))
-        self._key = (1, 0, self._hash)
-
-    def __eq__(self, other):
-        return isinstance(other, BSucc) and other.base == self.base
-
-    __hash__ = BoundValue.__hash__
+    def _structure(self):
+        h = hash((1, self.base._hash))
+        return h, (1, 0, h)
 
 
 class BMax(BoundValue):
     __slots__ = ("items",)
     kind = "max"
 
-    def __init__(self, items: tuple[BoundValue, ...]):
-        self.items = items
-        self._hash = hash((2,) + tuple(i._hash for i in items))
-        self._key = (2, len(items), self._hash)
-
-    def __eq__(self, other):
-        return isinstance(other, BMax) and other.items == self.items
-
-    __hash__ = BoundValue.__hash__
+    def _structure(self):
+        h = hash((2,) + tuple(i._hash for i in self.items))
+        return h, (2, len(self.items), h)
 
 
 class BRamsey(BoundValue):
     __slots__ = ("colors", "target")
     kind = "ramsey"
 
-    def __init__(self, colors: int, target: BoundValue):
-        self.colors = colors
-        self.target = target
-        self._hash = hash((3, colors, target._hash))
-        self._key = (3, colors, self._hash)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BRamsey)
-            and other.colors == self.colors
-            and other.target == self.target
-        )
-
-    __hash__ = BoundValue.__hash__
+    def _structure(self):
+        h = hash((3, self.colors, self.target._hash))
+        return h, (3, self.colors, h)
 
 
 def bv_exact(n: int) -> BExact:
@@ -439,8 +434,9 @@ def bound_from_json(doc: dict) -> BoundValue:
 
 
 # -- comparisons --------------------------------------------------------------
-
-_SAT_MEMO: dict[tuple, int] = {}
+# Values share subtrees, so each public comparison memoizes its walk in a dict
+# that lives for the one call: keys ("sat", v, cap), ("ge", v, n), ("up", v)
+# and ("le", x, y).
 
 
 def sat_min(v: BoundValue, cap: int) -> int:
@@ -449,25 +445,29 @@ def sat_min(v: BoundValue, cap: int) -> int:
         raise ValueError("cap must be >= 0")
     if cap > SAT_CAP_LIMIT:
         raise ValueError(f"sat_min is limited to caps <= {SAT_CAP_LIMIT}")
-    key = (v, cap)
-    cached = _SAT_MEMO.get(key)
+    return _sat_min(v, cap, {})
+
+
+def _sat_min(v: BoundValue, cap: int, memo: dict) -> int:
+    key = ("sat", v, cap)
+    cached = memo.get(key)
     if cached is not None:
         return cached
     if isinstance(v, BExact):
         result = min(v.value, cap)
     elif isinstance(v, BSucc):
-        result = min(sat_min(v.base, cap) + 1, cap)
+        result = min(_sat_min(v.base, cap, memo) + 1, cap)
     elif isinstance(v, BMax):
-        result = max(sat_min(i, cap) for i in v.items)
+        result = max(_sat_min(i, cap, memo) for i in v.items)
     elif isinstance(v, BRamsey):
-        ts = sat_min(v.target, cap)
+        ts = _sat_min(v.target, cap, memo)
         if ts >= cap:
             result = cap  # R >= target
         else:
             result = ramsey_sat(v.colors, ts, cap)
     else:
         raise TypeError(f"not a bound value: {v!r}")
-    _SAT_MEMO[key] = result
+    memo[key] = result
     return result
 
 
@@ -479,25 +479,26 @@ def _bridge_target(n: int) -> int:
     return k
 
 
-_GE_MEMO: dict[tuple, bool | None] = {}
-
-
 def is_ge_int(v: BoundValue, n: int) -> bool | None:
     """Tristate 'v >= n'; always decided when n is small."""
+    return _is_ge_int(v, n, {})
+
+
+def _is_ge_int(v: BoundValue, n: int, memo: dict) -> bool | None:
     if n <= 0:
         return True
     if n <= SAT_CAP_LIMIT:
-        return sat_min(v, n) == n
-    key = (v, n)
-    if key in _GE_MEMO:
-        return _GE_MEMO[key]
+        return _sat_min(v, n, memo) == n
+    key = ("ge", v, n)
+    if key in memo:
+        return memo[key]
     result: bool | None
     if isinstance(v, BExact):
         result = v.value >= n
     elif isinstance(v, BSucc):
-        result = is_ge_int(v.base, n - 1)
+        result = _is_ge_int(v.base, n - 1, memo)
     elif isinstance(v, BMax):
-        votes = [is_ge_int(i, n) for i in v.items]
+        votes = [_is_ge_int(i, n, memo) for i in v.items]
         if any(r is True for r in votes):
             result = True
         elif all(r is False for r in votes):
@@ -506,13 +507,13 @@ def is_ge_int(v: BoundValue, n: int) -> bool | None:
             result = None
     elif isinstance(v, BRamsey):
         if v.colors == 1:
-            result = is_ge_int(v.target, n)
+            result = _is_ge_int(v.target, n, memo)
         else:
             k = _bridge_target(n)
-            result = True if is_ge_int(v.target, k) is True else None
+            result = True if _is_ge_int(v.target, k, memo) is True else None
     else:
         raise TypeError(f"not a bound value: {v!r}")
-    _GE_MEMO[key] = result
+    memo[key] = result
     return result
 
 
@@ -521,83 +522,90 @@ _UPPER_NODE_LIMIT = 200_000
 
 def upper_int(v: BoundValue) -> int | None:
     """A sound explicit upper bound, or None when one is too big to build."""
+    return _upper_int(v, {})
+
+
+def _upper_int(v: BoundValue, memo: dict) -> int | None:
+    key = ("up", v)
+    if key in memo:
+        return memo[key]
+    result: int | None = None
     if isinstance(v, BExact):
-        return v.value
-    if isinstance(v, BSucc):
-        u = upper_int(v.base)
-        return None if u is None else u + 1
-    if isinstance(v, BMax):
-        uppers = [upper_int(i) for i in v.items]
-        if any(u is None for u in uppers):
-            return None
-        return max(uppers)  # type: ignore[type-var]
-    if isinstance(v, BRamsey):
-        tu = upper_int(v.target)
+        result = v.value
+    elif isinstance(v, BSucc):
+        u = _upper_int(v.base, memo)
+        result = None if u is None else u + 1
+    elif isinstance(v, BMax):
+        uppers = [_upper_int(i, memo) for i in v.items]
+        if all(u is not None for u in uppers):
+            result = max(uppers)  # type: ignore[type-var]
+    elif isinstance(v, BRamsey):
+        tu = _upper_int(v.target, memo)
         if tu is None or tu < 1:
-            return None
-        if tu <= 2 or v.colors == 1:
-            return max(tu, 2)
-        total = (tu - 1) * v.colors
-        if total > _UPPER_NODE_LIMIT:
-            return None
-        return math.factorial(total) // math.factorial(tu - 1) ** v.colors
-    raise TypeError(f"not a bound value: {v!r}")
-
-
-_LE_MEMO: dict[tuple, bool | None] = {}
+            result = None
+        elif tu <= 2 or v.colors == 1:
+            result = max(tu, 2)
+        elif (tu - 1) * v.colors <= _UPPER_NODE_LIMIT:
+            total = (tu - 1) * v.colors
+            result = math.factorial(total) // math.factorial(tu - 1) ** v.colors
+    else:
+        raise TypeError(f"not a bound value: {v!r}")
+    memo[key] = result
+    return result
 
 
 def le_bound(x: BoundValue, y: BoundValue) -> bool | None:
     """Tristate 'x <= y' via sound structural rules."""
-    if x is y or x == y:
+    return _le_bound(x, y, {})
+
+
+def _le_bound(x: BoundValue, y: BoundValue, memo: dict) -> bool | None:
+    if x is y:
         return True
-    key = (x, y)
-    if key in _LE_MEMO:
-        return _LE_MEMO[key]
-    _LE_MEMO[key] = None  # cut cycles defensively
-    result = _le_bound(x, y)
-    _LE_MEMO[key] = result
-    return result
+    key = ("le", x, y)
+    if key not in memo:
+        memo[key] = _le_rules(x, y, memo)
+    return memo[key]
 
 
-def _le_bound(x: BoundValue, y: BoundValue) -> bool | None:
+def _le_rules(x: BoundValue, y: BoundValue, memo: dict) -> bool | None:
     if isinstance(y, BExact):
-        ge = is_ge_int(x, y.value + 1)
+        ge = _is_ge_int(x, y.value + 1, memo)
         if ge is True:
             return False
         if ge is False:
             return True
         return None
     if isinstance(x, BExact):
-        return is_ge_int(y, x.value)
+        return _is_ge_int(y, x.value, memo)
     if isinstance(x, BMax):
-        votes = [le_bound(i, y) for i in x.items]
+        votes = [_le_bound(i, y, memo) for i in x.items]
         if all(r is True for r in votes):
             return True
         if any(r is False for r in votes):
             return False
         return None
     if isinstance(y, BMax):
-        votes = [le_bound(x, i) for i in y.items]
+        votes = [_le_bound(x, i, memo) for i in y.items]
         if any(r is True for r in votes):
             return True
         if all(r is False for r in votes):
             return False
         return None
     if isinstance(x, BSucc) and isinstance(y, BSucc):
-        return le_bound(x.base, y.base)
+        return _le_bound(x.base, y.base, memo)
     if isinstance(y, BRamsey):
         if isinstance(x, BRamsey):
-            if x.colors <= y.colors and le_bound(x.target, y.target) is True:
+            if x.colors <= y.colors and _le_bound(x.target, y.target, memo) is True:
                 return True
-        if le_bound(x, y.target) is True:
+        if _le_bound(x, y.target, memo) is True:
             return True  # R(c, t) >= t
-        u = upper_int(x)
-        if u is not None and is_ge_int(y, u) is True:
+        u = _upper_int(x, memo)
+        if u is not None and _is_ge_int(y, u, memo) is True:
             return True
         return None
     if isinstance(y, BSucc):
-        if le_bound(x, y.base) is True:
+        if _le_bound(x, y.base, memo) is True:
             return True
         return None
     return None

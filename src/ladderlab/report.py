@@ -195,7 +195,8 @@ def run_verify(
     """Compute the bound, then search ladders with cutoff min(bound, cutoff).
 
     ``force_bound`` is a fault-injection hook for exercising the VIOLATION
-    path; it replaces the certified bound after computation.
+    path; it replaces the certified bound after computation. ``threads`` is
+    accepted and ignored: the search is single-threaded.
     """
     context.require_finite()
     digest_payload = {
@@ -239,7 +240,6 @@ def run_verify(
         domain,
         cutoff=effective_cutoff,
         branch_cap=branch_cap,
-        threads=threads,
     )
     timings["search"] = time.perf_counter() - t0
 

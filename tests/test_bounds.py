@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -28,7 +29,8 @@ from ladderlab import (
     verify_certificate,
     word_formula,
 )
-from ladderlab.ramsey import bv_exact, is_ge_int
+from ladderlab.bounds import RangeCert
+from ladderlab.ramsey import bv_exact, bv_max, bv_ramsey, bv_succ, is_ge_int, le_bound
 
 
 def test_negation_bound_values():
@@ -258,3 +260,127 @@ def test_subproducts_enumerated(z2z2):
     assert ranges == expected
     for s in rc.subproducts:
         assert s.polarity in ("eq", "neq")
+
+
+def test_certificate_round_trip_returns_same_nodes(z2z3):
+    cert = theorem_bound(parse_word("x1 y1 x1^-1 y1^-1"), 2, z2z3.factors)
+    back = BoundCertificate.from_json(json.loads(json.dumps(cert.to_json())))
+    assert back.bound is cert.bound
+    for key, rc in cert.ranges.items():
+        assert back.ranges[key].value is rc.value
+        assert back.ranges[key].mu is rc.mu
+    assert replay_certificate(back) is cert.bound
+
+
+def test_certificate_chains_in_one_process(z2z3):
+    # a second chain in the same process once ran against memo tables left
+    # by the first; now both build the same nodes and agree
+    w = parse_word("x1 y1 x1^-1 y1^-1")
+
+    def chain():
+        previous = theorem_bound(w, 1, z2z3.factors)
+        cert = theorem_bound(w, 2, z2z3.factors)
+        parsed = BoundCertificate.from_json(json.loads(json.dumps(cert.to_json())))
+        assert verify_certificate(parsed)
+        assert replay_certificate(parsed) is cert.bound
+        assert le_bound(previous.bound, parsed.bound) is True
+        return cert
+
+    cert1, cert2 = chain(), chain()
+    assert cert1.bound is cert2.bound
+    assert verify_certificate(cert1) and verify_certificate(cert2)
+
+
+# -- forged certificates: consistent arithmetic, broken rules -----------------
+
+
+def forge_root(cert, colors=None, subproducts=None):
+    """Change the root range's colors or subproducts and recompute its mu,
+    value and the bound consistently, so only the rules are broken."""
+    root = cert.ranges[cert.root]
+    subs = tuple(root.subproducts if subproducts is None else subproducts)
+    colors = root.colors if colors is None else colors
+    mu = bv_succ(bv_max([s.value for s in subs]))
+    rc = replace(root, colors=colors, subproducts=subs, mu=mu, value=bv_ramsey(colors, mu))
+    return replace(cert, bound=rc.value, ranges={**cert.ranges, cert.root: rc})
+
+
+def forge_colors_one(cert):
+    # one color and one kept subproduct: the certificate claims bound 2
+    return forge_root(cert, colors=1, subproducts=cert.ranges[cert.root].subproducts[:1])
+
+
+def forge_colors(cert):
+    return forge_root(cert, colors=4**3)
+
+
+def forge_dropped_subproduct(cert):
+    subs = cert.ranges[cert.root].subproducts
+    return forge_root(cert, subproducts=[s for s in subs if (s.start, s.stop) != (0, 2)])
+
+
+def forge_duplicated_subproduct(cert):
+    subs = list(cert.ranges[cert.root].subproducts)
+    subs[-1] = subs[0]
+    return forge_root(cert, subproducts=subs)
+
+
+def forge_base_over_blocks(cert):
+    base = RangeCert(0, 3, "base", bv_exact(1), factor=0, shape="x1", eq_index=1, neq_index=1)
+    return replace(cert, bound=base.value, ranges={**cert.ranges, (0, 3): base})
+
+
+def forge_root_range(cert):
+    return replace(cert, root=(0, 2), bound=cert.ranges[(0, 2)].value)
+
+
+def forge_ell(cert):
+    ranges = {k: v for k, v in cert.ranges.items() if k[1] < 3}
+    return replace(cert, ell=3, root=(0, 2), bound=cert.ranges[(0, 2)].value, ranges=ranges)
+
+
+def forge_missing_range(cert):
+    return replace(cert, ranges={k: v for k, v in cert.ranges.items() if k != (1, 2)})
+
+
+def forge_mu(cert):
+    root = cert.ranges[cert.root]
+    rc = replace(root, mu=bv_succ(root.mu), value=bv_ramsey(root.colors, bv_succ(root.mu)))
+    return replace(cert, bound=rc.value, ranges={**cert.ranges, cert.root: rc})
+
+
+def forge_value(cert):
+    return replace(cert, bound=bv_exact(5))
+
+
+@pytest.mark.parametrize(
+    "forge",
+    [
+        forge_colors_one,
+        forge_colors,
+        forge_dropped_subproduct,
+        forge_duplicated_subproduct,
+        forge_base_over_blocks,
+        forge_root_range,
+        forge_ell,
+        forge_missing_range,
+        forge_mu,
+        forge_value,
+    ],
+)
+def test_verify_rejects_forged_certificate(z2z2, forge):
+    cert = theorem_bound(parse_word("x1 y1"), 1, z2z2.factors)
+    assert verify_certificate(cert)
+    forged = forge(cert)
+    parsed = BoundCertificate.from_json(json.loads(json.dumps(forged.to_json())))
+    assert verify_certificate(forged) is False
+    assert verify_certificate(parsed) is False
+
+
+def test_colors_one_forgery_claims_two(z2z2):
+    cert = theorem_bound(parse_word("x1 y1"), 1, z2z2.factors)
+    forged = forge_colors_one(cert)
+    assert forged.bound is bv_exact(2)
+    # replay derives colors and subproducts from the rules, not the trace
+    assert replay_certificate(forged) is cert.bound
+    assert verify_certificate(forged) is False

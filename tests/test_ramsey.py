@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import gc
 import itertools
 import json
 import math
@@ -9,6 +11,7 @@ from functools import lru_cache
 import pytest
 
 from ladderlab import BoundTooLarge, bound_from_json, bound_to_json, ramsey_upper
+from ladderlab import ramsey
 from ladderlab.ramsey import (
     BExact,
     BMax,
@@ -215,3 +218,75 @@ def test_render_bound():
     s = render_bound(deep, limit=500)
     assert len(s) < 700
     assert s.endswith("…")
+
+
+def test_equal_constructions_are_identical():
+    # hash-consing: helpers, direct constructors and JSON round trips all
+    # return the one live node for a value
+    assert bv_exact(7) is BExact(7)
+    assert bv_succ(bv_exact(6)) is bv_exact(7)
+    big = bv_ramsey(64, bv_exact(10**30))
+    assert big is BRamsey(64, BExact(10**30))
+    assert bv_succ(big) is BSucc(big)
+    m = bv_max([big, bv_exact(3)])
+    assert m is BMax(m.items)
+    assert bv_max([bv_exact(3), bv_ramsey(64, bv_exact(10**30))]) is m
+    assert bound_from_json(json.loads(json.dumps(bound_to_json(m)))) is m
+    assert copy.deepcopy(m) is m
+    assert BExact(8) is not BExact(9)
+    assert BSucc(big) is not BRamsey(64, BExact(10**30))
+
+
+def test_bound_values_compare_by_identity():
+    for cls in (ramsey.BoundValue, BExact, BSucc, BMax, BRamsey):
+        assert "__eq__" not in vars(cls)
+        assert "__hash__" not in vars(cls)
+    big = bv_ramsey(64, bv_exact(10**30))
+    assert hash(big) == object.__hash__(big)
+    # ordering keeps the structural hash, which fixes certificate node order
+    assert big.sort_key() == (3, 64, hash((3, 64, hash((0, 10**30)))))
+
+
+def test_interned_nodes_are_freed():
+    gc.collect()
+    before = len(ramsey._INTERNED)
+    v = bv_ramsey(256, bv_succ(bv_max([bv_exact(12_345_678_901), bv_ramsey(64, bv_exact(10**41 + 17))])))
+    assert len(ramsey._INTERNED) >= before + 5
+    del v
+    gc.collect()
+    assert len(ramsey._INTERNED) == before
+
+
+def test_comparisons_keep_no_module_state():
+    # memos live for one call: repeated comparisons neither grow module
+    # state nor keep their arguments alive
+    gc.collect()
+    before = len(ramsey._INTERNED)
+    x = bv_ramsey(64, bv_succ(bv_exact(10**40 + 3)))
+    y = bv_ramsey(256, bv_succ(x))
+    assert le_bound(x, y) is True
+    assert le_bound(x, y) is True
+    assert is_ge_int(y, 10**30) is True
+    assert sat_min(y, 9) == 9
+    del x, y
+    gc.collect()
+    assert len(ramsey._INTERNED) == before
+
+
+def test_upper_int_walks_shared_nodes_once(monkeypatch):
+    # each level refers to the one below twice; an unmemoized walk doubles
+    # per level
+    deep = bv_exact(10**40)
+    for _ in range(40):
+        deep = bv_max([bv_ramsey(64, bv_succ(deep)), bv_succ(deep)])
+    calls = []
+    inner = ramsey._upper_int
+
+    def counted(v, memo):
+        calls.append(v)
+        return inner(v, memo)
+
+    monkeypatch.setattr(ramsey, "_upper_int", counted)
+    assert ramsey.upper_int(deep) is None
+    # one call per reference to a node: at most two per node, plus the root
+    assert len(calls) <= 2 * len({id(v) for v in calls}) + 1
