@@ -368,14 +368,22 @@ def theorem_bound(
 def _walk_certificate(cert: BoundCertificate, check: bool) -> BoundValue:
     """Recompute the bound from the base entries by the recursion's rules,
     shortest ranges first. With ``check``, also require the trace to be the
-    one the rules give - ``ell`` is the rewritten word's block count, the
-    root spans all ``ell`` blocks, a base entry spans one block, a composite
-    entry has ``4**len`` colors and exactly the proper contiguous subranges
-    in both polarities, and every recorded value is the recomputed node (the
+    one the rules give - the rewritten word is the change of variables of
+    ``word`` (when ``radius`` and ``num_factors`` are recorded), ``ell`` is
+    its block count, the root spans all ``ell`` blocks, a base entry spans
+    one block and records that block's factor and shape, a composite entry
+    has ``4**len`` colors and exactly the proper contiguous subranges in
+    both polarities, and every recorded value is the recomputed node (the
     same object, as nodes are hash-consed) - and raise ValueError at the
     first entry that is not."""
-    if check and block_decompose(parse_word(cert.rewritten)).ell != cert.ell:
-        raise ValueError(f"the rewritten word does not have {cert.ell} blocks")
+    if check:
+        if cert.radius is not None and cert.num_factors is not None:
+            derived = change_of_variables(parse_word(cert.word), cert.radius, cert.num_factors)
+            if render_word(derived) != cert.rewritten:
+                raise ValueError("the rewritten word is not the word's change of variables")
+        decomp = block_decompose(parse_word(cert.rewritten))
+        if decomp.ell != cert.ell:
+            raise ValueError(f"the rewritten word does not have {cert.ell} blocks")
     if cert.root is None:  # the empty word
         value = bv_exact(1)
         if check and (cert.ell != 0 or cert.ranges or cert.bound is not value):
@@ -392,8 +400,12 @@ def _walk_certificate(cert: BoundCertificate, check: bool) -> BoundValue:
             if rc is None or (rc.start, rc.stop) != key:
                 raise ValueError(f"range {key} is missing")
             if length == 1:
-                if check and rc.kind != "base":
-                    raise ValueError(f"range {key} is one block but not a base entry")
+                if check and (
+                    rc.kind != "base"
+                    or rc.factor != decomp.blocks[i].factor
+                    or rc.shape != word_shape(decomp.block_word(i))
+                ):
+                    raise ValueError(f"range {key} is not the base entry of block {i}")
                 eq, neq = bv_exact(rc.eq_index), bv_exact(rc.neq_index)
                 value = bv_exact(max(rc.eq_index, rc.neq_index))
             else:

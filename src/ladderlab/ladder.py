@@ -29,28 +29,14 @@ DEFAULT_CUTOFF = 8
 DEFAULT_BRANCH_CAP = 10**7
 
 
+@dataclass(frozen=True)
 class Formula:
-    """A boolean predicate over (a-row, b-row) pairs with fixed arities."""
+    """A boolean predicate ``holds(a_row, b_row)`` with fixed arities."""
 
-    def __init__(
-        self,
-        arity_x: int,
-        arity_y: int,
-        predicate: Callable[[tuple, tuple], bool],
-        description: str = "",
-    ):
-        self.arity_x = arity_x
-        self.arity_y = arity_y
-        self.description = description
-        self._predicate = predicate
-        self._cache: dict[tuple, bool] = {}
-
-    def holds(self, a_row: tuple, b_row: tuple) -> bool:
-        key = (a_row, b_row)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self._cache[key] = self._predicate(a_row, b_row)
-        return hit
+    arity_x: int
+    arity_y: int
+    holds: Callable[[tuple, tuple], bool]
+    description: str = ""
 
 
 def word_formula(
@@ -90,18 +76,14 @@ def formula_not(f: Formula) -> Formula:
     )
 
 
-def _pad(row: tuple, arity: int) -> tuple:
-    return row[:arity]
-
-
 def _combine(f: Formula, g: Formula, op: Callable[[bool, bool], bool], name: str) -> Formula:
     ax = max(f.arity_x, g.arity_x)
     ay = max(f.arity_y, g.arity_y)
 
     def predicate(a_row: tuple, b_row: tuple) -> bool:
         return op(
-            f.holds(_pad(a_row, f.arity_x), _pad(b_row, f.arity_y)),
-            g.holds(_pad(a_row, g.arity_x), _pad(b_row, g.arity_y)),
+            f.holds(a_row[: f.arity_x], b_row[: f.arity_y]),
+            g.holds(a_row[: g.arity_x], b_row[: g.arity_y]),
         )
 
     return Formula(ax, ay, predicate, f"{name}({f.description}, {g.description})")
@@ -176,51 +158,44 @@ def is_ladder(formula: Formula, a_rows: Sequence[tuple], b_rows: Sequence[tuple]
     return True
 
 
-class _Search:
-    def __init__(self, formula, a_cands, b_cands, cutoff):
-        self.formula = formula
-        self.a_cands = a_cands
-        self.b_cands = b_cands
-        self.cutoff = cutoff
-        self.nodes = 0
-        self.best_m = 0
-        self.best: Ladder = Ladder(0, (), ())
-        self.cutoff_hit = False
+def _search(
+    holds: Callable[[int, int], bool], n_a: int, n_b: int, cutoff: int
+) -> tuple[tuple[int, ...], tuple[int, ...], bool, int]:
+    """Depth-first walk over one-row extensions, on row indices in domain
+    order. Returns the first longest ladder met (its a- and b-row indices),
+    whether it reached ``cutoff`` (which stops the walk), and the number of
+    ladders visited."""
+    a_rows: list[int] = []
+    b_rows: list[int] = []
+    best: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
+    nodes = 0
 
-    def run(self, first_a_cands) -> None:
-        self._extend([], [], first_a_cands)
-
-    def _extend(self, a_rows: list, b_rows: list, a_cands) -> bool:
-        """Try all one-row extensions; returns True to stop the whole search."""
-        holds = self.formula.holds
-        m = len(a_rows)
-        for a_new in a_cands:
-            # the new a-row must fail against every existing b-row (i > j)
-            if any(holds(a_new, b) for b in b_rows):
+    def extend() -> bool:
+        nonlocal best, nodes
+        for i in range(n_a):
+            # the new a-row must fail against every chosen b-row (i > j)
+            if any(holds(i, j) for j in b_rows):
                 continue
-            for b_new in self.b_cands:
-                if not holds(a_new, b_new):
+            for j in range(n_b):
+                if not holds(i, j):
                     continue
-                # every existing a-row must succeed against the new b-row (i <= j)
-                if any(not holds(a, b_new) for a in a_rows):
+                # every chosen a-row must hold against the new b-row (i <= j)
+                if not all(holds(a, j) for a in a_rows):
                     continue
-                self.nodes += 1
-                a_rows.append(a_new)
-                b_rows.append(b_new)
-                if m + 1 > self.best_m:
-                    self.best_m = m + 1
-                    self.best = Ladder(m + 1, tuple(a_rows), tuple(b_rows))
-                if m + 1 >= self.cutoff:
-                    self.cutoff_hit = True
-                    a_rows.pop()
-                    b_rows.pop()
-                    return True
-                stop = self._extend(a_rows, b_rows, self.a_cands)
+                nodes += 1
+                a_rows.append(i)
+                b_rows.append(j)
+                if len(a_rows) > len(best[0]):
+                    best = (tuple(a_rows), tuple(b_rows))
+                stop = len(a_rows) >= cutoff or extend()
                 a_rows.pop()
                 b_rows.pop()
                 if stop:
                     return True
         return False
+
+    cutoff_hit = extend()
+    return best[0], best[1], cutoff_hit, nodes
 
 
 def max_ladder(
@@ -255,9 +230,24 @@ def max_ladder(
     a_cands = tuple(product(*[d.values for d in a_doms]))
     b_cands = tuple(product(*[d.values for d in b_doms]))
 
-    search = _Search(formula, a_cands, b_cands, cutoff)
-    search.run(a_cands)
-    return IndexResult(search.best_m, search.best, search.cutoff_hit, search.nodes)
+    # the truth table lives for this call only; a flat int key keeps it small
+    n_b = len(b_cands)
+    memo: dict[int, bool] = {}
+
+    def holds(i: int, j: int) -> bool:
+        key = i * n_b + j
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = formula.holds(a_cands[i], b_cands[j])
+        return hit
+
+    a_idx, b_idx, cutoff_hit, nodes = _search(holds, len(a_cands), n_b, cutoff)
+    witness = Ladder(
+        len(a_idx),
+        tuple(a_cands[i] for i in a_idx),
+        tuple(b_cands[j] for j in b_idx),
+    )
+    return IndexResult(witness.m, witness, cutoff_hit, nodes)
 
 
 def _used_positions(w: GroupWord) -> tuple[list[int], list[int]]:

@@ -139,8 +139,6 @@ def ramsey_upper(colors: int, target: int) -> int:
 
 # -- saturating evaluation ---------------------------------------------------
 
-_PATTERN_SAT: dict[tuple, int] = {}
-
 
 def _g_cutoff(cap: int) -> int:
     """Smallest p with R(3,..,3) [p threes] >= cap; recurrence g(p)=2-p+p*g(p-1)."""
@@ -150,27 +148,6 @@ def _g_cutoff(cap: int) -> int:
         p += 1
         g = 2 - p + p * g
     return p
-
-
-def _pattern_sat(pattern: tuple, cap: int, p0: int) -> int:
-    """Exactly min(recurrence value, cap). Sound because a saturated child
-    forces the parent past the cap (all siblings are >= 1), and any pattern
-    with at least p0 coordinates dominates the all-threes pattern of that
-    size, which already reaches the cap."""
-    if not pattern:
-        return min(2, cap)
-    if len(pattern) >= p0:
-        return cap
-    key = (pattern, cap)
-    cached = _PATTERN_SAT.get(key)
-    if cached is not None:
-        return cached
-    total = 2 - len(pattern)
-    for child, cnt in _pattern_children(pattern):
-        total += cnt * _pattern_sat(child, cap, p0)
-    value = min(total, cap)
-    _PATTERN_SAT[key] = value
-    return value
 
 
 def ramsey_sat(colors: int, target: int, cap: int) -> int:
@@ -189,10 +166,9 @@ def ramsey_sat(colors: int, target: int, cap: int) -> int:
         return min(math.comb(2 * target - 2, target - 1), cap)
     if target - 1 >= cap.bit_length():
         return cap  # R >= R(2, target) >= 2^(target-1) >= cap
-    p0 = _g_cutoff(cap)
-    if colors >= p0:
+    if colors >= _g_cutoff(cap):
         return cap  # avoids building huge diagonal patterns
-    return _pattern_sat(tuple([target] * colors), cap, p0)
+    return min(_pattern_exact(tuple([target] * colors)), cap)
 
 
 # -- lazy bound values -------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 from .bounds import BoundCertificate, theorem_bound
@@ -216,16 +216,7 @@ def run_verify(
     t0 = time.perf_counter()
     cert = theorem_bound(word, radius, context.factors)
     if force_bound is not None:
-        cert = BoundCertificate(
-            bound=bv_exact(force_bound),
-            word=cert.word,
-            rewritten=cert.rewritten,
-            ell=cert.ell,
-            radius=cert.radius,
-            num_factors=cert.num_factors,
-            ranges=cert.ranges,
-            root=None,
-        )
+        cert = replace(cert, bound=bv_exact(force_bound), root=None)
     timings["bound"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -353,6 +353,33 @@ def forge_value(cert):
     return replace(cert, bound=bv_exact(5))
 
 
+def forge_rewritten_cut(cert):
+    # a consistent three-block trace of a rewritten word cut short
+    ranges = {k: v for k, v in cert.ranges.items() if k[1] < 3}
+    return replace(
+        cert,
+        rewritten="x1@0 x2@1 y1@0",
+        ell=3,
+        root=(0, 2),
+        bound=cert.ranges[(0, 2)].value,
+        ranges=ranges,
+    )
+
+
+def forge_base_shape(cert):
+    base = replace(cert.ranges[(0, 0)], shape="x1 y1 x1")
+    return replace(cert, ranges={**cert.ranges, (0, 0): base})
+
+
+def forge_base_factor(cert):
+    base = replace(cert.ranges[(0, 0)], factor=1)
+    return replace(cert, ranges={**cert.ranges, (0, 0): base})
+
+
+def forge_word_radius(cert):
+    return replace(cert, word="x1 y1 x1", radius=7)
+
+
 @pytest.mark.parametrize(
     "forge",
     [
@@ -366,6 +393,10 @@ def forge_value(cert):
         forge_missing_range,
         forge_mu,
         forge_value,
+        forge_rewritten_cut,
+        forge_base_shape,
+        forge_base_factor,
+        forge_word_radius,
     ],
 )
 def test_verify_rejects_forged_certificate(z2z2, forge):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -235,3 +236,33 @@ def test_per_coordinate_domains(z2z3):
     assert result.index >= 1
     for row in result.witness.a_rows:
         assert all(len(v) == 0 or v.letters[0].factor == 0 for v in row)
+
+
+def test_commutator_search_pinned(z2z3):
+    # index, lex-least witness and visit count of a full search; any change
+    # to the visiting order or the checks shows here
+    w = parse_word("x1 y1 x1^-1 y1^-1")
+    result = max_ladder(word_formula(z2z3, w), ball_domain(z2z3, 2), cutoff=8)
+    e, a, b = z2z3.identity, z2z3.letter(0, 1), z2z3.letter(1, 1)
+    assert (result.index, result.cutoff_hit, result.nodes_explored) == (3, False, 412)
+    assert result.witness.a_rows == ((e,), (b,), (z2z3.concat(a, b),))
+    assert result.witness.b_rows == ((a,), (b,), (e,))
+
+
+def test_holds_memo_lives_for_one_call(z2z2):
+    calls = Counter()
+    commutator = word_formula(z2z2, parse_word("x1 y1 x1^-1 y1^-1"))
+
+    def counted(a_row, b_row):
+        calls[(a_row, b_row)] += 1
+        return commutator.holds(a_row, b_row)
+
+    f = Formula(1, 1, counted)
+    dom = ball_domain(z2z2, 2)
+    first = max_ladder(f, dom)
+    evaluated = sum(calls.values())
+    assert evaluated > 0 and max(calls.values()) == 1
+    calls.clear()
+    # the formula keeps nothing: a second search evaluates every pair again
+    assert max_ladder(f, dom) == first
+    assert sum(calls.values()) == evaluated and max(calls.values()) == 1
