@@ -94,13 +94,7 @@ def cmd_index(args) -> int:
     else:
         ball = context.ball(args.radius, cap=args.cap)
         domain = SearchDomain.from_ball(ball)
-        result = word_index(
-            context,
-            word,
-            domain,
-            cutoff=args.cutoff,
-            branch_cap=args.cap,
-        )
+        result = word_index(context, word, domain, cutoff=args.cutoff)
     payload = {
         "word": args.word,
         "domain": domain.kind,
@@ -205,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--cap",
             type=int,
             default=DEFAULT_BALL_CAP,
-            help="resource cap for ball members / search branching",
+            help="resource cap for ball members",
         )
 
     p = sub.add_parser("reduce", help="reduce a raw letter sequence to normal form")

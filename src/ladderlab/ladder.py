@@ -1,15 +1,17 @@
-"""Brute-force stability-index search.
+"""Stability-index search.
 
 A ladder of length m for a formula φ(x̄, ȳ) over a finite domain B is a pair
 of row sequences ā_1..ā_m, b̄_1..b̄_m with φ(ā_i, b̄_j) holding exactly when
-i <= j. Ladders are prefix-closed, so the search is a depth-first walk over
-extensions; the module is deliberately a transparent brute-force oracle.
+i <= j. Ladders are prefix-closed, so the search is an exact depth-first walk
+over one-pair extensions on Python-int row masks, after the bit-parallel
+maximum-clique search of San Segundo, Rodríguez-Losada & Jiménez (2011).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import product
+from math import prod
 from typing import Callable, Sequence
 
 from .errors import ArityMismatch, DomainTooLarge, InfiniteFactor, MissingSuppliedIndex
@@ -158,46 +160,6 @@ def is_ladder(formula: Formula, a_rows: Sequence[tuple], b_rows: Sequence[tuple]
     return True
 
 
-def _search(
-    holds: Callable[[int, int], bool], n_a: int, n_b: int, cutoff: int
-) -> tuple[tuple[int, ...], tuple[int, ...], bool, int]:
-    """Depth-first walk over one-row extensions, on row indices in domain
-    order. Returns the first longest ladder met (its a- and b-row indices),
-    whether it reached ``cutoff`` (which stops the walk), and the number of
-    ladders visited."""
-    a_rows: list[int] = []
-    b_rows: list[int] = []
-    best: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
-    nodes = 0
-
-    def extend() -> bool:
-        nonlocal best, nodes
-        for i in range(n_a):
-            # the new a-row must fail against every chosen b-row (i > j)
-            if any(holds(i, j) for j in b_rows):
-                continue
-            for j in range(n_b):
-                if not holds(i, j):
-                    continue
-                # every chosen a-row must hold against the new b-row (i <= j)
-                if not all(holds(a, j) for a in a_rows):
-                    continue
-                nodes += 1
-                a_rows.append(i)
-                b_rows.append(j)
-                if len(a_rows) > len(best[0]):
-                    best = (tuple(a_rows), tuple(b_rows))
-                stop = len(a_rows) >= cutoff or extend()
-                a_rows.pop()
-                b_rows.pop()
-                if stop:
-                    return True
-        return False
-
-    cutoff_hit = extend()
-    return best[0], best[1], cutoff_hit, nodes
-
-
 def max_ladder(
     formula: Formula,
     domain: SearchDomain,
@@ -210,9 +172,10 @@ def max_ladder(
     """Maximal ladder length over the domain, up to ``cutoff``.
 
     Rows range over the domain coordinatewise; per-coordinate domains may be
-    supplied for factor-constrained searches. The reported witness is the
-    lexicographically least (by domain order) among maximal ladders. The
-    search is single-threaded; ``threads`` is accepted and ignored.
+    supplied for factor-constrained searches. Rows are bits of int masks in
+    domain order, taken low to high, so the witness is the lexicographically
+    least maximal ladder. Pairs are evaluated lazily, each at most once, into
+    masks that live for this call only. ``threads`` is accepted and ignored.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
@@ -221,32 +184,69 @@ def max_ladder(
     if len(a_doms) != formula.arity_x or len(b_doms) != formula.arity_y:
         raise ArityMismatch("per-coordinate domain count does not match formula arity")
 
-    branching = 1
-    for d in a_doms + b_doms:
-        branching *= len(d.values)
+    branching = prod(len(d.values) for d in a_doms + b_doms)
     if branching > branch_cap:
         raise DomainTooLarge(branch_cap, branching)
 
     a_cands = tuple(product(*[d.values for d in a_doms]))
     b_cands = tuple(product(*[d.values for d in b_doms]))
+    # a-row i: the b-rows evaluated / holding; b-row j: a-rows looked up / holding
+    row_seen, row_true = [0] * len(a_cands), [0] * len(a_cands)
+    col_seen, col_true = [0] * len(b_cands), [0] * len(b_cands)
 
-    # the truth table lives for this call only; a flat int key keeps it small
-    n_b = len(b_cands)
-    memo: dict[int, bool] = {}
+    def row(i: int, mask: int) -> int:
+        """The b-rows in ``mask`` on which a-row i holds; the only evaluator."""
+        todo = mask & ~row_seen[i]
+        row_seen[i] |= todo
+        while todo:
+            j = (todo & -todo).bit_length() - 1
+            todo &= todo - 1
+            if formula.holds(a_cands[i], b_cands[j]):
+                row_true[i] |= 1 << j
+        return row_true[i] & mask
 
-    def holds(i: int, j: int) -> bool:
-        key = i * n_b + j
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = formula.holds(a_cands[i], b_cands[j])
-        return hit
+    def col(j: int, mask: int) -> int:
+        """The a-rows in ``mask`` that hold against b-row j."""
+        todo = mask & ~col_seen[j]
+        col_seen[j] |= todo
+        while todo:
+            i = (todo & -todo).bit_length() - 1
+            todo &= todo - 1
+            if row(i, 1 << j):
+                col_true[j] |= 1 << i
+        return col_true[j] & mask
 
-    a_idx, b_idx, cutoff_hit, nodes = _search(holds, len(a_cands), n_b, cutoff)
-    witness = Ladder(
-        len(a_idx),
-        tuple(a_cands[i] for i in a_idx),
-        tuple(b_cands[j] for j in b_idx),
-    )
+    path: list[tuple[int, int]] = []
+    best: list[tuple[int, int]] = []
+    nodes = 0
+
+    def extend(a_cand: int, b_cand: int) -> bool:
+        """Walk the extensions of ``path``. Every a-row of ``path`` holds on
+        each b-row in b_cand, and each a-row in a_cand fails on every b-row of
+        ``path``; so choosing (i, j) keeps the b-rows on which i holds and
+        drops the a-rows that hold on j. True once ``cutoff`` is reached."""
+        nonlocal best, nodes
+        rest = a_cand
+        while rest:
+            i = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            b_next = js = row(i, b_cand)
+            while js:
+                j = (js & -js).bit_length() - 1
+                js &= js - 1
+                nodes += 1
+                path.append((i, j))
+                if len(path) > len(best):
+                    best = path[:]
+                stop = len(path) >= cutoff or extend(a_cand & ~col(j, a_cand), b_next)
+                path.pop()
+                if stop:
+                    return True
+        return False
+
+    cutoff_hit = extend((1 << len(a_cands)) - 1, (1 << len(b_cands)) - 1)
+    a_rows = tuple(a_cands[i] for i, _ in best)
+    witness = Ladder(len(best), a_rows, tuple(b_cands[j] for _, j in best))
     return IndexResult(witness.m, witness, cutoff_hit, nodes)
 
 

@@ -73,9 +73,6 @@ def is_materializable(colors: int, target: int) -> bool:
     return _states_estimate(colors, target) <= STATES_LIMIT
 
 
-_PATTERN_EXACT: dict[tuple, int] = {}
-
-
 def _pattern_children(pattern: tuple) -> Iterable[tuple[tuple, int]]:
     counts = Counter(pattern)
     for v, cnt in counts.items():
@@ -90,8 +87,9 @@ def _pattern_exact(pattern: tuple) -> int:
     """Exact recurrence value for the multiset of coordinates >= 3.
 
     Explicit-stack evaluation: chains of decrements can be as long as the
-    color count, far past the interpreter recursion limit."""
-    memo = _PATTERN_EXACT
+    color count, far past the interpreter recursion limit. The memo lives for
+    this call only."""
+    memo: dict[tuple, int] = {}
     stack = [pattern]
     while stack:
         pat = stack[-1]
@@ -111,6 +109,15 @@ def _pattern_exact(pattern: tuple) -> int:
     return memo[pattern] if pattern else 2
 
 
+def _threes(colors: int) -> int:
+    """R(3,..,3) with ``colors`` threes: the pattern of p threes has one child,
+    p - 1 threes, p times over, so g(p) = 2 - p + p*g(p-1) with g(0) = 2."""
+    g = 2
+    for p in range(1, colors + 1):
+        g = 2 - p + p * g
+    return g
+
+
 def ramsey_exact(colors: int, target: int) -> int:
     if colors < 1:
         raise ValueError("colors must be >= 1")
@@ -124,6 +131,8 @@ def ramsey_exact(colors: int, target: int) -> int:
         return 2
     if colors == 2:
         return math.comb(2 * target - 2, target - 1)
+    if target == 3:
+        return _threes(colors)
     return _pattern_exact(tuple([target] * colors))
 
 
@@ -141,12 +150,10 @@ def ramsey_upper(colors: int, target: int) -> int:
 
 
 def _g_cutoff(cap: int) -> int:
-    """Smallest p with R(3,..,3) [p threes] >= cap; recurrence g(p)=2-p+p*g(p-1)."""
-    g = 2
+    """Smallest p with R(3,..,3) [p threes] >= cap."""
     p = 0
-    while g < cap:
+    while _threes(p) < cap:
         p += 1
-        g = 2 - p + p * g
     return p
 
 

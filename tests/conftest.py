@@ -98,3 +98,62 @@ def naive_max_ladder(holds, a_rows_pool, b_rows_pool, max_m: int) -> int:
 def compose_perm_oracle(p, q):
     """Apply q first, then p."""
     return tuple(p[q[i]] for i in range(len(q)))
+
+
+def reference_search(holds, n_a: int, n_b: int, cutoff: int):
+    """The per-pair ladder walk the bitset search replaced, kept as a
+    differential reference: depth-first over one-row extensions on row
+    indices in domain order, checking each candidate pair against every
+    chosen row. Returns the first longest ladder met (its a- and b-row
+    indices), whether it reached ``cutoff`` and the number of ladders
+    visited."""
+    a_rows: list[int] = []
+    b_rows: list[int] = []
+    best: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
+    nodes = 0
+
+    def extend() -> bool:
+        nonlocal best, nodes
+        for i in range(n_a):
+            # the new a-row must fail against every chosen b-row (i > j)
+            if any(holds(i, j) for j in b_rows):
+                continue
+            for j in range(n_b):
+                if not holds(i, j):
+                    continue
+                # every chosen a-row must hold against the new b-row (i <= j)
+                if not all(holds(a, j) for a in a_rows):
+                    continue
+                nodes += 1
+                a_rows.append(i)
+                b_rows.append(j)
+                if len(a_rows) > len(best[0]):
+                    best = (tuple(a_rows), tuple(b_rows))
+                stop = len(a_rows) >= cutoff or extend()
+                a_rows.pop()
+                b_rows.pop()
+                if stop:
+                    return True
+        return False
+
+    cutoff_hit = extend()
+    return best[0], best[1], cutoff_hit, nodes
+
+
+def reference_max_ladder(formula, values, cutoff: int):
+    """(index, a-rows, b-rows, cutoff_hit, nodes) of ``reference_search`` over
+    rows drawn coordinatewise from ``values``, with each pair memoized."""
+    a_cands = tuple(itertools.product(values, repeat=formula.arity_x))
+    b_cands = tuple(itertools.product(values, repeat=formula.arity_y))
+    memo: dict[tuple[int, int], bool] = {}
+
+    def holds(i: int, j: int) -> bool:
+        if (i, j) not in memo:
+            memo[(i, j)] = formula.holds(a_cands[i], b_cands[j])
+        return memo[(i, j)]
+
+    a_idx, b_idx, hit, nodes = reference_search(
+        holds, len(a_cands), len(b_cands), cutoff
+    )
+    a_rows = tuple(a_cands[i] for i in a_idx)
+    return len(a_idx), a_rows, tuple(b_cands[j] for j in b_idx), hit, nodes

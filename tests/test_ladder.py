@@ -24,7 +24,7 @@ from ladderlab import (
     word_formula,
 )
 
-from conftest import naive_max_ladder
+from conftest import naive_max_ladder, reference_max_ladder
 
 
 def ball_domain(context, r):
@@ -266,3 +266,59 @@ def test_holds_memo_lives_for_one_call(z2z2):
     # the formula keeps nothing: a second search evaluates every pair again
     assert max_ladder(f, dom) == first
     assert sum(calls.values()) == evaluated and max(calls.values()) == 1
+
+
+def _same_as_reference(formula, domain):
+    # cutoffs below, at and above the true index
+    index = reference_max_ladder(formula, domain.values, 64)[0]
+    for cutoff in sorted({1, max(index - 1, 1), max(index, 1), index + 1, 8}):
+        r = max_ladder(formula, domain, cutoff=cutoff)
+        got = (r.index, r.witness.a_rows, r.witness.b_rows, r.cutoff_hit, r.nodes_explored)
+        assert got == reference_max_ladder(formula, domain.values, cutoff), cutoff
+
+
+def test_kernel_matches_reference_walk_on_random_formulas():
+    # index, lex-least witness, cutoff flag and visit count all agree
+    rng = random.Random(2011)
+    for arity, n, density in ((1, 4, 0.5), (1, 7, 0.5), (1, 9, 0.3), (2, 3, 0.4)):
+        domain = SearchDomain.from_values(tuple(range(n)))
+        rows = list(itertools.product(domain.values, repeat=arity))
+        for _ in range(12):
+            table = {(a, b): rng.random() < density for a in rows for b in rows}
+            f = Formula(arity, arity, lambda a, b, t=table: t[(a, b)])
+            _same_as_reference(f, domain)
+
+
+def test_kernel_matches_reference_walk_on_word_formulas(z2z2, z2z3, z3s3):
+    cases = [
+        (z2z2, "x1 y1 x1^-1 y1^-1", 2),
+        (z2z3, "x1 y1 x1^-1 y1^-1", 2),
+        (z2z3, "x1 y1 x1", 2),
+        (z2z3, "x1 x2 y1 y2", 1),
+        (z3s3, "x1 y1 x1 y1", 1),
+        (z3s3, "x1 y1 x1^-1 y1^-1", 1),
+    ]
+    for context, text, radius in cases:
+        w = parse_word(text)
+        domain = ball_domain(context, radius)
+        for negated in (False, True):
+            _same_as_reference(word_formula(context, w, negated), domain)
+
+
+def test_early_stop_evaluates_each_pair_at_most_once(z3s3):
+    calls = Counter()
+    base = word_formula(z3s3, parse_word("x1 y1 x1 y1"))
+
+    def counted(a_row, b_row):
+        calls[(a_row, b_row)] += 1
+        return base.holds(a_row, b_row)
+
+    domain = ball_domain(z3s3, 3)
+    result = max_ladder(Formula(1, 1, counted), domain, cutoff=3)
+    assert (result.index, result.cutoff_hit, result.nodes_explored) == (3, True, 23)
+    assert max(calls.values()) == 1
+    # the masks are filled only for the rows visited and their candidate
+    # columns: 1,011 of the 98 x 98 = 9,604 pairs (the per-pair walk with a
+    # memo evaluated 8,751; a holds matrix built up front costs all 9,604)
+    assert len(domain.values) ** 2 == 9_604
+    assert sum(calls.values()) <= 1_011

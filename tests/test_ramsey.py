@@ -58,6 +58,12 @@ def test_pattern_collapse_matches_naive():
             assert ramsey_exact(colors, target) == expected, (colors, target)
 
 
+def test_threes_match_pattern_recurrence():
+    # ramsey_exact answers target 3 from the one-child recurrence of _threes
+    for colors in range(3, 40):
+        assert ramsey_exact(colors, 3) == ramsey._pattern_exact((3,) * colors)
+
+
 def test_two_color_equals_binomial():
     for m in range(1, 9):
         assert ramsey_upper(2, m) <= math.comb(2 * m - 2, m - 1)
@@ -290,3 +296,22 @@ def test_upper_int_walks_shared_nodes_once(monkeypatch):
     assert ramsey.upper_int(deep) is None
     # one call per reference to a node: at most two per node, plus the root
     assert len(calls) <= 2 * len({id(v) for v in calls}) + 1
+
+
+def test_recurrence_sweeps_keep_no_module_tables():
+    # the pattern memo lives for one call: a sweep of exact and saturating
+    # values leaves every module-level table of ``ramsey`` at its size
+    def table_sizes():
+        return {
+            name: len(value)
+            for name, value in vars(ramsey).items()
+            if isinstance(value, (dict, list, set))
+        }
+
+    before = table_sizes()
+    for colors in range(3, 8):
+        for target in range(3, 9):
+            exact = ramsey_exact(colors, target)
+            for cap in (5, 100, 20_000):
+                assert ramsey_sat(colors, target, cap) == min(exact, cap)
+    assert table_sizes() == before

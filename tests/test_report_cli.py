@@ -135,6 +135,19 @@ def test_cmd_index_cutoff_hit(spec_files, capsys):
     assert doc["index"] == 1
 
 
+def test_cmd_index_cap_is_the_ball_cap(spec_files, capsys):
+    # 50 ball members, so 50**4 = 6,250,000 row pairs: above the default
+    # --cap of ball members, below the search's own branching cap
+    argv = ["index", "--word", "x1 y1 x2 y2", "--radius", "6", "--cutoff", "3",
+            "--groups", spec_files["z2"], spec_files["z3"], "--json"]
+    assert run(argv) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["index"] == 3
+    assert doc["cutoff_hit"] is True
+    assert run(argv + ["--cap", "10"]) == EXIT_RESOURCE
+    assert "cap" in capsys.readouterr().err
+
+
 def test_cmd_index_factor_domain(spec_files, capsys):
     code = run(
         [
