@@ -1,9 +1,9 @@
 """Normal-form elements of a free product of factor groups.
 
 A reduced word is an alternating sequence of non-identity letters from the
-factors; the empty word is the canonical identity. Reduction fold-merges
-adjacent same-factor letters with a stack, so multiplication is amortized
-linear in the input length.
+factors; the empty word is the canonical identity. Reduction is one fold that
+merges adjacent same-factor letters on two int stacks through the factors'
+tables, so multiplication is amortized linear in the input length.
 """
 
 from __future__ import annotations
@@ -99,6 +99,8 @@ class FreeProduct:
             f.with_id(i) for i, f in enumerate(factors)
         )
         self.identity = ReducedWord((), self)
+        # read by the fold; all None for a stub, whose letters never reach it
+        self._tables = tuple((f.identity, f.table, f.inverses) for f in self.factors)
 
     @property
     def k(self) -> int:
@@ -135,30 +137,44 @@ class FreeProduct:
     def embed(self, fe: FactorElement) -> ReducedWord:
         return self.letter(fe.factor, fe.elem)
 
-    def _push(self, stack: list[Letter], fid: int, elem: int) -> None:
-        f = self.factors[fid]
-        if elem == f.identity:
-            return
-        if stack and stack[-1].factor == fid:
-            merged = f.mul(stack[-1].elem, elem)
-            stack.pop()
-            if merged != f.identity:
-                stack.append(Letter(fid, merged))
-        else:
-            stack.append(Letter(fid, elem))
+    def fold(self, runs: Iterable) -> tuple[list[int], list[int]]:
+        """Reduce runs of letters on two parallel int stacks.
+
+        Each run is a ``(letters, inverted)`` pair; an inverted run is read
+        backwards with every letter inverted. Identity letters are dropped.
+        Returns the normal form as (factor ids, element indices).
+        """
+        tables = self._tables
+        fids: list[int] = []
+        elems: list[int] = []
+        for letters, inverted in runs:
+            for letter in reversed(letters) if inverted else letters:
+                fid = letter.factor
+                identity, table, inverses = tables[fid]
+                elem = inverses[letter.elem] if inverted else letter.elem
+                if fids and fids[-1] == fid:
+                    fids.pop()
+                    elem = table[elems.pop()][elem]
+                if elem != identity:
+                    fids.append(fid)
+                    elems.append(elem)
+        return fids, elems
+
+    def from_fold(self, fids: list[int], elems: list[int]) -> ReducedWord:
+        """The ReducedWord of a fold's result."""
+        return ReducedWord(tuple(map(Letter, fids, elems)), self)
 
     def reduce(self, raw: Iterable) -> ReducedWord:
         """Normal form of a raw letter sequence of (factor, elem) pairs."""
-        stack: list[Letter] = []
+        letters: list[Letter] = []
         for item in raw:
             if isinstance(item, Letter):
                 fid, elem = item.factor, item.elem
             else:
                 fid, elem = item
-            f = self.factor(fid)
-            f.check_elem(elem)
-            self._push(stack, fid, elem)
-        return ReducedWord(tuple(stack), self)
+            self.factor(fid).check_elem(elem)
+            letters.append(Letter(fid, elem))
+        return self.from_fold(*self.fold([(letters, False)]))
 
     # -- arithmetic ------------------------------------------------------
 
@@ -169,18 +185,11 @@ class FreeProduct:
     def concat(self, u: ReducedWord, v: ReducedWord) -> ReducedWord:
         self._check_context(u)
         self._check_context(v)
-        stack = list(u.letters)
-        for letter in v.letters:
-            self._push(stack, letter.factor, letter.elem)
-        return ReducedWord(tuple(stack), self)
+        return self.from_fold(*self.fold([(u.letters, False), (v.letters, False)]))
 
     def invert(self, u: ReducedWord) -> ReducedWord:
         self._check_context(u)
-        letters = tuple(
-            Letter(l.factor, self.factors[l.factor].inv(l.elem))
-            for l in reversed(u.letters)
-        )
-        return ReducedWord(letters, self)
+        return self.from_fold(*self.fold([(u.letters, True)]))
 
     def length(self, u: ReducedWord) -> int:
         self._check_context(u)

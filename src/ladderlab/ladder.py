@@ -22,8 +22,8 @@ from .words import (
     Syllable,
     VariableSymbol,
     canonicalize_word,
-    evaluate,
     evaluate_in_group,
+    evaluates_to_identity,
     shape_key,
 )
 
@@ -47,8 +47,7 @@ def word_formula(
     """The formula 'w = 1' (or 'w != 1') over free-product values."""
 
     def predicate(a_row: tuple, b_row: tuple) -> bool:
-        value = evaluate(context, w, a_row, b_row)
-        return value.is_identity != negated
+        return evaluates_to_identity(context, w, a_row, b_row) != negated
 
     op = "!=" if negated else "="
     return Formula(w.arity_x, w.arity_y, predicate, f"{w.render()} {op} 1")

@@ -198,6 +198,8 @@ def run_verify(
     path; it replaces the certified bound after computation. ``threads`` is
     accepted and ignored: the search is single-threaded.
     """
+    if cutoff < 1:
+        raise ValueError("cutoff must be >= 1")
     context.require_finite()
     digest_payload = {
         "groups": [

@@ -11,7 +11,7 @@ the change of variables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     AnnotationMismatch,
@@ -209,6 +209,26 @@ def _lookup(sym: VariableSymbol, a_values: Sequence, b_values: Sequence):
     return values[sym.position - 1]
 
 
+def _runs(
+    context: FreeProduct,
+    w: GroupWord,
+    a_values: Sequence[ReducedWord],
+    b_values: Sequence[ReducedWord],
+) -> Iterator[tuple]:
+    """The fold's ``(letters, inverted)`` runs for w under the assignment."""
+    if len(a_values) != w.arity_x or len(b_values) != w.arity_y:
+        raise ArityMismatch(
+            f"assignment arities ({len(a_values)},{len(b_values)}) do not match "
+            f"word arities ({w.arity_x},{w.arity_y})"
+        )
+    for s in w.syllables:
+        sym = s.symbol
+        value = (a_values if sym.tuple_name == "x" else b_values)[sym.position - 1]
+        if value.context is not context:
+            raise ContextMismatch("assignment value from a different context")
+        yield value.letters, s.exponent < 0
+
+
 def evaluate(
     context: FreeProduct,
     w: GroupWord,
@@ -216,28 +236,18 @@ def evaluate(
     b_values: Sequence[ReducedWord],
 ) -> ReducedWord:
     """Value of w under the assignment, in normal form. Annotations are ignored."""
-    if len(a_values) != w.arity_x or len(b_values) != w.arity_y:
-        raise ArityMismatch(
-            f"assignment arities ({len(a_values)},{len(b_values)}) do not match "
-            f"word arities ({w.arity_x},{w.arity_y})"
-        )
-    # fold all letters through one reduction stack instead of building an
-    # intermediate word per syllable
-    stack: list = []
-    push = context._push
-    factors = context.factors
-    for s in w.syllables:
-        sym = s.symbol
-        value = (a_values if sym.tuple_name == "x" else b_values)[sym.position - 1]
-        if value.context is not context:
-            raise ContextMismatch("assignment value from a different context")
-        if s.exponent < 0:
-            for letter in reversed(value.letters):
-                push(stack, letter.factor, factors[letter.factor].inv(letter.elem))
-        else:
-            for letter in value.letters:
-                push(stack, letter.factor, letter.elem)
-    return ReducedWord(tuple(stack), context)
+    return context.from_fold(*context.fold(_runs(context, w, a_values, b_values)))
+
+
+def evaluates_to_identity(
+    context: FreeProduct,
+    w: GroupWord,
+    a_values: Sequence[ReducedWord],
+    b_values: Sequence[ReducedWord],
+) -> bool:
+    """Whether ``evaluate`` would return 1, without building the value."""
+    fids, _ = context.fold(_runs(context, w, a_values, b_values))
+    return not fids
 
 
 def evaluate_in_group(

@@ -4,7 +4,14 @@ import itertools
 
 import pytest
 
-from ladderlab import FreeProduct, load_group
+from ladderlab import (
+    ArityMismatch,
+    ContextMismatch,
+    FreeProduct,
+    Letter,
+    ReducedWord,
+    load_group,
+)
 
 Z2_DOC = {"name": "Z2", "kind": "cyclic", "order": 2}
 Z3_DOC = {"name": "Z3", "kind": "cyclic", "order": 3}
@@ -157,3 +164,57 @@ def reference_max_ladder(formula, values, cutoff: int):
     )
     a_rows = tuple(a_cands[i] for i in a_idx)
     return len(a_idx), a_rows, tuple(b_cands[j] for j in b_idx), hit, nodes
+
+
+def _reference_push(context, stack, fid, elem):
+    """``FreeProduct._push`` as it was before the int fold replaced it."""
+    f = context.factors[fid]
+    if elem == f.identity:
+        return
+    if stack and stack[-1].factor == fid:
+        merged = f.mul(stack[-1].elem, elem)
+        stack.pop()
+        if merged != f.identity:
+            stack.append(Letter(fid, merged))
+    else:
+        stack.append(Letter(fid, elem))
+
+
+def reference_reduce(context, raw):
+    """The per-letter ``Letter`` stack reduction the int fold replaced, kept
+    as a differential reference for ``FreeProduct.reduce``."""
+    stack = []
+    for item in raw:
+        if isinstance(item, Letter):
+            fid, elem = item.factor, item.elem
+        else:
+            fid, elem = item
+        f = context.factor(fid)
+        f.check_elem(elem)
+        _reference_push(context, stack, fid, elem)
+    return ReducedWord(tuple(stack), context)
+
+
+def reference_evaluate(context, w, a_values, b_values):
+    """The ``_push``-based ``words.evaluate`` the int fold replaced."""
+    if len(a_values) != w.arity_x or len(b_values) != w.arity_y:
+        raise ArityMismatch(
+            f"assignment arities ({len(a_values)},{len(b_values)}) do not match "
+            f"word arities ({w.arity_x},{w.arity_y})"
+        )
+    stack: list = []
+    factors = context.factors
+    for s in w.syllables:
+        sym = s.symbol
+        value = (a_values if sym.tuple_name == "x" else b_values)[sym.position - 1]
+        if value.context is not context:
+            raise ContextMismatch("assignment value from a different context")
+        if s.exponent < 0:
+            for letter in reversed(value.letters):
+                _reference_push(
+                    context, stack, letter.factor, factors[letter.factor].inv(letter.elem)
+                )
+        else:
+            for letter in value.letters:
+                _reference_push(context, stack, letter.factor, letter.elem)
+    return ReducedWord(tuple(stack), context)

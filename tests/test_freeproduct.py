@@ -171,6 +171,19 @@ def test_infinite_factor_rejected_in_ball():
         context.ball(1)
 
 
+def test_stub_context_reduces_finite_letters():
+    stub = {"name": "stub", "kind": "infinite-stub", "supplied_indices": {}}
+    context = FreeProduct.from_documents([Z2_DOC, stub])
+    u = context.letter(0, 1)
+    assert context.concat(u, u).is_identity
+    assert context.invert(u) == u
+    assert context.reduce([(0, 0), (0, 1)]) == u
+    with pytest.raises(InfiniteFactor):
+        context.letter(1, 0)
+    with pytest.raises(InfiniteFactor):
+        context.reduce([(0, 1), (1, 0)])
+
+
 def test_ball_recurrence_crosscheck(z2z3):
     # linear recurrence on per-factor word counts against direct enumeration
     p, q = 2, 3

@@ -8,6 +8,7 @@ import pytest
 
 from ladderlab import (
     ArityMismatch,
+    ContextMismatch,
     DomainTooLarge,
     Formula,
     MissingSuppliedIndex,
@@ -322,3 +323,14 @@ def test_early_stop_evaluates_each_pair_at_most_once(z3s3):
     # memo evaluated 8,751; a holds matrix built up front costs all 9,604)
     assert len(domain.values) ** 2 == 9_604
     assert sum(calls.values()) <= 1_011
+
+
+def test_word_formula_keeps_evaluate_checks(z2z2, z2z3):
+    holds = word_formula(z2z2, parse_word("x1 y1")).holds
+    one = z2z2.identity
+    with pytest.raises(ContextMismatch):
+        holds((z2z3.letter(0, 1),), (one,))
+    with pytest.raises(ArityMismatch):
+        holds((), (one,))
+    with pytest.raises(ArityMismatch):
+        holds((one,), (one, one))

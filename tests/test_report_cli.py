@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -299,6 +300,44 @@ def test_cmd_verify_word_parse_error(spec_files, capsys):
         ["verify", "--word", "x0", "--radius", "1", "--groups", spec_files["z2"], spec_files["z2"]]
     )
     assert code == EXIT_PARSE
+
+
+def test_cmd_verify_rejects_cutoff_zero(spec_files, capsys):
+    code = run(
+        [
+            "verify",
+            "--word",
+            "x1 y1",
+            "--radius",
+            "1",
+            "--cutoff",
+            "0",
+            "--groups",
+            spec_files["z2"],
+            spec_files["z3"],
+        ]
+    )
+    assert code == EXIT_PARSE
+    assert "cutoff must be >= 1" in capsys.readouterr().err
+
+
+def test_cmd_bound_over_stub_spec(capsys):
+    specs = Path(__file__).resolve().parent.parent / "specs"
+    code = run(
+        [
+            "bound",
+            "--word",
+            "x1 y1",
+            "--radius",
+            "1",
+            "--groups",
+            str(specs / "stub.json"),
+            str(specs / "z2.json"),
+            "--json",
+        ]
+    )
+    assert code == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["ell"] == 4
 
 
 def test_cmd_ramsey(capsys):

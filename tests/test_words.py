@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ladderlab import (
     AnnotationMismatch,
     ArityMismatch,
+    Letter,
     LengthExceedsRadius,
     UnannotatedSyllable,
     WordParseError,
@@ -23,8 +24,11 @@ from ladderlab import (
     parse_word,
     render_word,
     shape_key,
+    word_formula,
     word_shape,
 )
+
+from conftest import reference_evaluate, reference_reduce
 
 
 
@@ -321,3 +325,74 @@ def test_evaluate_context_mismatch(z2z2, z2z3):
 def test_interpret_context_factor_count_checked(z2z3):
     with pytest.raises(ValueError):
         interpret_in_template(z2z3.identity, 1, 3)
+
+
+# -- the int fold against the Letter-stack reduction it replaced ---------------
+
+FOLD_CONTEXTS = ("z2z3", "z3s3", "z2z2z2")
+
+
+def random_group_word(rng):
+    """A word of arity at most (2, 2) with 1..6 syllables, some inverted."""
+    names = [f"x{i}" for i in range(1, rng.randint(0, 2) + 1)]
+    names += [f"y{i}" for i in range(1, rng.randint(0, 2) + 1)]
+    if not names:
+        return parse_word("")
+    return parse_word(
+        " ".join(
+            rng.choice(names) + rng.choice(("", "^-1"))
+            for _ in range(rng.randint(1, 6))
+        )
+    )
+
+
+@pytest.mark.parametrize("name", FOLD_CONTEXTS)
+def test_evaluate_and_holds_match_reference(name, request):
+    context = request.getfixturevalue(name)
+    values = context.ball(2).members
+    rng = random.Random(f"fold-{name}")
+    identities = 0
+    for _ in range(400):
+        w = random_group_word(rng)
+        pool = rng.sample(values, 2)  # few distinct values, so some words cancel
+        a = tuple(rng.choice(pool) for _ in range(w.arity_x))
+        b = tuple(rng.choice(pool) for _ in range(w.arity_y))
+        expected = reference_evaluate(context, w, a, b)
+        value = evaluate(context, w, a, b)
+        assert value == expected and value.context is context
+        identities += expected.is_identity
+        for negated in (False, True):
+            holds = word_formula(context, w, negated).holds(a, b)
+            assert holds == (expected.is_identity != negated)
+        u, v = pool
+        assert context.concat(u, v) == reference_reduce(context, u.letters + v.letters)
+        inverse = [
+            (l.factor, context.factors[l.factor].inv(l.elem)) for l in reversed(u.letters)
+        ]
+        assert context.invert(u) == reference_reduce(context, inverse)
+    assert 0 < identities < 400
+
+
+@pytest.mark.parametrize("name", FOLD_CONTEXTS)
+def test_reduce_matches_reference_on_raw_letters(name, request):
+    context = request.getfixturevalue(name)
+    rng = random.Random(f"reduce-{name}")
+    seen = {"identity": 0, "merge": 0, "cancel": 0}
+    for _ in range(400):
+        raw = []
+        for _ in range(rng.randint(0, 8)):
+            fid = rng.randrange(context.k)
+            elem = rng.randrange(context.factors[fid].order)
+            raw.append(Letter(fid, elem) if rng.random() < 0.5 else (fid, elem))
+        expected = reference_reduce(context, raw)
+        assert context.reduce(raw) == expected
+        pairs = [(x.factor, x.elem) if isinstance(x, Letter) else x for x in raw]
+        kept = [(f, e) for f, e in pairs if e != context.factors[f].identity]
+        seen["identity"] += len(kept) < len(pairs)
+        adjacent = [(f, e, h) for (f, e), (g, h) in zip(kept, kept[1:]) if f == g]
+        seen["merge"] += bool(adjacent)
+        seen["cancel"] += any(
+            context.factors[f].mul(e, h) == context.factors[f].identity
+            for f, e, h in adjacent
+        )
+    assert all(seen.values()), seen
