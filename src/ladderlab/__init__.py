@@ -5,6 +5,8 @@ from .bounds import (
     BoundCertificate,
     SearchBaseOracle,
     certificate_le,
+    check_base_indices,
+    check_certificate,
     conjunction_bound,
     disjunction_bound,
     lemma_bound,

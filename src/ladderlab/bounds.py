@@ -5,6 +5,14 @@ Every computed bound comes with a certificate: a range-keyed trace of the
 recursion (base indices per single block, subproduct bounds in both
 polarities, the mu values, and the Ramsey applications) that can be replayed
 independently of the code that produced it.
+
+A composite range records only its two maximal children, (i, j-1) and
+(i+1, j), in both polarities (format ``ladderlab-certificate@2``, O(ell^2)
+refs). Every proper subrange lies inside one of them, and a range's value
+R(4^len, mu) is at least its mu, which is one past its own subproducts; so
+the maximum over the two children is the maximum over every proper
+subrange, and mu is the same number. Format ``@1`` recorded every proper
+subrange; its certificates still parse, replay and check by their own rule.
 """
 
 from __future__ import annotations
@@ -37,6 +45,9 @@ from .words import (
 )
 
 CASES_PER_BLOCK = 4  # pair-orientation outcome cases per block coordinate
+
+FORMAT_V1 = "ladderlab-certificate@1"  # every proper subrange
+FORMAT_V2 = "ladderlab-certificate@2"  # the two maximal children
 
 
 def negation_bound(n: int) -> int:
@@ -150,35 +161,63 @@ class RangeCert:
 
     @classmethod
     def from_json(cls, doc: dict, values: list[BoundValue]) -> "RangeCert":
-        start, stop = doc["range"]
-        if doc["kind"] == "base":
+        start, stop = _pair(doc, "range")
+        value = _ref(doc, "value", values)
+        if _field(doc, "kind", str) == "base":
             return cls(
                 start=start,
                 stop=stop,
                 kind="base",
-                value=values[doc["value"]],
-                factor=doc["factor"],
-                shape=doc["shape"],
-                eq_index=doc["eq_index"],
-                neq_index=doc["neq_index"],
+                value=value,
+                factor=_field(doc, "factor", int),
+                shape=_field(doc, "shape", str),
+                eq_index=_field(doc, "eq_index", int),
+                neq_index=_field(doc, "neq_index", int),
             )
         return cls(
             start=start,
             stop=stop,
-            kind="ramsey",
-            value=values[doc["value"]],
-            colors=doc["colors"],
-            mu=values[doc["mu"]],
+            kind=doc["kind"],
+            value=value,
+            colors=_field(doc, "colors", int),
+            mu=_ref(doc, "mu", values),
             subproducts=tuple(
-                SubproductRef(
-                    s["range"][0],
-                    s["range"][1],
-                    s["polarity"],
-                    values[s["value"]],
-                )
-                for s in doc["subproducts"]
+                SubproductRef(*_pair(s, "range"), _field(s, "polarity", str), _ref(s, "value", values))
+                for s in _field(doc, "subproducts", list)
             ),
         )
+
+
+def _field(doc: dict, key: str, kind: type, optional: bool = False):
+    """``doc[key]`` if it is a ``kind`` (or None, when ``optional``);
+    ValueError if ``doc`` is not an object or the field is missing or has
+    another type."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected a JSON object, not {type(doc).__name__}")
+    if key not in doc and not optional:
+        raise ValueError(f"certificate field {key!r} is missing")
+    value = doc.get(key)
+    if value is None and optional:
+        return None
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ValueError(f"certificate field {key!r} must be {kind.__name__}, not {type(value).__name__}")
+    return value
+
+
+def _pair(doc: dict, key: str, optional: bool = False) -> tuple[int, int] | None:
+    pair = _field(doc, key, list, optional)
+    if pair is None:
+        return None
+    if len(pair) != 2 or not all(isinstance(n, int) and not isinstance(n, bool) for n in pair):
+        raise ValueError(f"certificate field {key!r} must be two integers")
+    return pair[0], pair[1]
+
+
+def _ref(doc: dict, key: str, values: list[BoundValue]) -> BoundValue:
+    vid = _field(doc, key, int)
+    if not 0 <= vid < len(values):
+        raise ValueError(f"certificate field {key!r} names value {vid}, outside the pool")
+    return values[vid]
 
 
 @dataclass(frozen=True)
@@ -196,6 +235,7 @@ class BoundCertificate:
     num_factors: int | None
     ranges: Mapping[tuple[int, int], RangeCert]
     root: tuple[int, int] | None
+    format: str = FORMAT_V2
 
     def bound_text(self) -> str:
         return self.bound.render()
@@ -204,7 +244,7 @@ class BoundCertificate:
         pool = BoundPool()
         range_docs = [rc.to_json(pool) for rc in self.ranges.values()]
         return {
-            "format": "ladderlab-certificate@1",
+            "format": self.format,
             "bound": pool.intern(self.bound),
             "bound_text": self.bound_text(),
             "word": self.word,
@@ -223,26 +263,47 @@ class BoundCertificate:
 
     @classmethod
     def from_json(cls, doc: dict) -> "BoundCertificate":
-        values = pool_to_values(doc["values"])
+        """Parse a certificate document of either format; ValueError if the
+        format is unknown or a field is missing or has the wrong type."""
+        fmt = _field(doc, "format", str)
+        if fmt not in _SUBRANGES:
+            raise ValueError(f"unknown certificate format {fmt!r}")
+        try:
+            values = pool_to_values(_field(doc, "values", list))
+        except (KeyError, IndexError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed value pool: {exc!r}") from exc
         ranges = {}
-        for rdoc in doc["ranges"]:
+        for rdoc in _field(doc, "ranges", list):
             rc = RangeCert.from_json(rdoc, values)
+            if (rc.start, rc.stop) in ranges:
+                raise ValueError(f"range {(rc.start, rc.stop)} is listed twice")
             ranges[(rc.start, rc.stop)] = rc
         return cls(
-            bound=values[doc["bound"]],
-            word=doc["word"],
-            rewritten=doc["rewritten"],
-            ell=doc["ell"],
-            radius=doc.get("radius"),
-            num_factors=doc.get("num_factors"),
+            bound=_ref(doc, "bound", values),
+            word=_field(doc, "word", str),
+            rewritten=_field(doc, "rewritten", str),
+            ell=_field(doc, "ell", int),
+            radius=_field(doc, "radius", int, optional=True),
+            num_factors=_field(doc, "num_factors", int, optional=True),
             ranges=ranges,
-            root=tuple(doc["root"]) if doc.get("root") is not None else None,
+            root=_pair(doc, "root", optional=True),
+            format=fmt,
         )
 
 
 def _proper_subranges(i: int, j: int) -> list[tuple[int, int]]:
     """Every proper contiguous subrange of blocks i..j, in trace order."""
     return [(a, b) for a in range(i, j + 1) for b in range(a, j + 1) if (a, b) != (i, j)]
+
+
+def _maximal_children(i: int, j: int) -> list[tuple[int, int]]:
+    """The two maximal proper subranges of blocks i..j; every other proper
+    subrange lies inside one of them."""
+    return [(i, j - 1), (i + 1, j)]
+
+
+# The subproducts a composite range records, by certificate format.
+_SUBRANGES = {FORMAT_V1: _proper_subranges, FORMAT_V2: _maximal_children}
 
 
 def lemma_bound(
@@ -254,11 +315,12 @@ def lemma_bound(
 ) -> BoundCertificate:
     """Bound for an alternating block decomposition.
 
-    One block: the larger of the two base polarities. More blocks: every
-    proper contiguous subproduct is bounded recursively in both polarities
-    (not-equals via negation_bound), mu is one past their maximum, and the
-    result is the Ramsey upper bound with 4^ell colors (the per-block cases
-    compose into a product coloring).
+    One block: the larger of the two base polarities. More blocks: the two
+    maximal proper subproducts are bounded recursively in both polarities
+    (not-equals via negation_bound), mu is one past their maximum (which is
+    the maximum over every proper subproduct, see the module docstring), and
+    the result is the Ramsey upper bound with 4^ell colors (the per-block
+    cases compose into a product coloring).
     """
     if decomp.ell < 1:
         raise ValueError("lemma recursion needs at least one block")
@@ -297,7 +359,7 @@ def lemma_bound(
             )
         else:
             subs: list[SubproductRef] = []
-            for a, b in _proper_subranges(i, j):
+            for a, b in _maximal_children(i, j):
                 sub = bound_for(a, b)
                 if sub.kind == "base":
                     # single blocks carry both polarities from the oracle
@@ -370,12 +432,16 @@ def _walk_certificate(cert: BoundCertificate, check: bool) -> BoundValue:
     shortest ranges first. With ``check``, also require the trace to be the
     one the rules give - the rewritten word is the change of variables of
     ``word`` (when ``radius`` and ``num_factors`` are recorded), ``ell`` is
-    its block count, the root spans all ``ell`` blocks, a base entry spans
-    one block and records that block's factor and shape, a composite entry
-    has ``4**len`` colors and exactly the proper contiguous subranges in
-    both polarities, and every recorded value is the recomputed node (the
-    same object, as nodes are hash-consed) - and raise ValueError at the
-    first entry that is not."""
+    its block count, the root spans all ``ell`` blocks and the trace holds
+    no other range, a base entry spans one block and records that block's
+    factor and shape, a composite entry has ``4**len`` colors and exactly
+    the subranges its format names (@2: the two maximal children; @1: every
+    proper subrange) in both polarities, and every recorded value is the
+    recomputed node (the same object, as nodes are hash-consed) - and raise
+    ValueError at the first entry that is not."""
+    subranges = _SUBRANGES.get(cert.format)
+    if subranges is None:
+        raise ValueError(f"unknown certificate format {cert.format!r}")
     if check:
         if cert.radius is not None and cert.num_factors is not None:
             derived = change_of_variables(parse_word(cert.word), cert.radius, cert.num_factors)
@@ -392,8 +458,9 @@ def _walk_certificate(cert: BoundCertificate, check: bool) -> BoundValue:
     first, last = cert.root
     if last < first or (check and (first, last) != (0, cert.ell - 1)):
         raise ValueError(f"root {cert.root} does not span the {cert.ell} blocks")
+    span = last - first + 1
     polar: dict[tuple[int, int, str], BoundValue] = {}
-    for length in range(1, last - first + 2):
+    for length in range(1, span + 1):
         for i in range(first, last - length + 2):
             key = (i, i + length - 1)
             rc = cert.ranges.get(key)
@@ -409,7 +476,7 @@ def _walk_certificate(cert: BoundCertificate, check: bool) -> BoundValue:
                 eq, neq = bv_exact(rc.eq_index), bv_exact(rc.neq_index)
                 value = bv_exact(max(rc.eq_index, rc.neq_index))
             else:
-                subs = [(a, b, pol) for a, b in _proper_subranges(*key) for pol in ("eq", "neq")]
+                subs = [(a, b, pol) for a, b in subranges(*key) for pol in ("eq", "neq")]
                 mu = bv_succ(bv_max([polar[s] for s in subs]))
                 colors = CASES_PER_BLOCK**length
                 value = bv_ramsey(colors, mu)
@@ -428,6 +495,8 @@ def _walk_certificate(cert: BoundCertificate, check: bool) -> BoundValue:
                 raise ValueError(f"value mismatch at range {key}")
             polar[key + ("eq",)] = eq
             polar[key + ("neq",)] = neq
+    if check and len(cert.ranges) != span * (span + 1) // 2:
+        raise ValueError("the trace has ranges outside the root")
     if check and cert.bound is not value:
         raise ValueError("the bound is not the root range's value")
     return value
@@ -438,14 +507,45 @@ def replay_certificate(cert: BoundCertificate) -> BoundValue:
     return _walk_certificate(cert, check=False)
 
 
+def check_certificate(cert: BoundCertificate) -> BoundValue:
+    """The bound, if the trace follows the bound rules and every recorded
+    intermediate, and the bound, is what they give; otherwise ValueError
+    (or TypeError, LadderLabError) naming the first entry that is not."""
+    return _walk_certificate(cert, check=True)
+
+
 def verify_certificate(cert: BoundCertificate) -> bool:
-    """True iff the trace follows the bound rules and every recorded
-    intermediate, and the bound, is what they give."""
+    """True iff ``check_certificate`` accepts the certificate."""
     try:
-        _walk_certificate(cert, check=True)
+        check_certificate(cert)
     except (ValueError, TypeError, LadderLabError):
         return False
     return True
+
+
+def check_base_indices(cert: BoundCertificate, factors: Sequence[FactorGroup]) -> int:
+    """Re-run ``SearchBaseOracle`` over ``factors`` on every base entry of a
+    certificate that ``check_certificate`` accepts, and raise ValueError at
+    the first whose recorded indices differ. Returns the entries checked."""
+    if cert.num_factors is not None and cert.num_factors != len(factors):
+        raise ValueError(f"the certificate is for {cert.num_factors} factors, not {len(factors)}")
+    if cert.root is None:
+        return 0
+    oracle = SearchBaseOracle(factors)
+    decomp = block_decompose(parse_word(cert.rewritten))
+    for i in range(cert.ell):
+        rc = cert.ranges[(i, i)]
+        factor = oracle.factors.get(rc.factor)
+        if factor is None:
+            raise ValueError(f"range {(i, i)} names factor {rc.factor}, which is not given")
+        block = decomp.block_word(i)
+        found = (oracle(factor, block, False), oracle(factor, block, True))
+        if (rc.eq_index, rc.neq_index) != found:
+            raise ValueError(
+                f"range {(i, i)} records indices ({rc.eq_index}, {rc.neq_index});"
+                f" the search gives {found}"
+            )
+    return cert.ell
 
 
 def certificate_le(c1: BoundCertificate, c2: BoundCertificate) -> bool | None:

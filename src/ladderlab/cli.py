@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes are a stable contract: 0 success/verified, 2 parse or validation
-error, 3 resource cap exceeded, 4 cutoff-inconclusive verification,
-5 bound violation (an implementation bug, reported loudly).
+error (including a certificate that breaks the bound rules), 3 resource cap
+exceeded (including a bound nested too deeply to walk), 4 cutoff-inconclusive
+verification, 5 bound violation (an implementation bug, reported loudly).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bounds import theorem_bound
+from .bounds import BoundCertificate, check_base_indices, check_certificate, theorem_bound
 from .errors import (
     BallTooLarge,
     BoundTooLarge,
@@ -157,6 +158,27 @@ def cmd_verify(args) -> int:
     return report.exit_code()
 
 
+def cmd_check_cert(args) -> int:
+    cert = BoundCertificate.from_json(json.loads(Path(args.file).read_text(encoding="utf-8")))
+    factors = _load_context(args.groups).factors if args.groups else None
+    payload = {"file": args.file, "format": cert.format, "ell": cert.ell, "valid": True,
+               "error": None, "bases_searched": None}
+    try:
+        check_certificate(cert)
+        if factors is not None:
+            payload["bases_searched"] = check_base_indices(cert, factors)
+    except (ValueError, TypeError, LadderLabError) as exc:
+        payload.update(valid=False, error=str(exc))
+    if payload["valid"]:
+        human = f"valid {cert.format} certificate, ell {cert.ell}"
+        if factors is not None:
+            human += f", {payload['bases_searched']} base entries searched again"
+    else:
+        human = f"invalid {cert.format} certificate: {payload['error']}"
+    _emit(args, payload, human)
+    return EXIT_OK if payload["valid"] else EXIT_PARSE
+
+
 def cmd_ramsey(args) -> int:
     value = ramsey_upper(args.colors, args.target)
     _emit(
@@ -241,6 +263,17 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=cmd_verify)
 
+    p = sub.add_parser("check-cert", help="check a bound certificate file against the rules")
+    p.add_argument("file", help="a certificate document written by 'bound --json'")
+    p.add_argument(
+        "--groups",
+        nargs="+",
+        metavar="SPEC",
+        help="also search every base entry's indices again in these factors",
+    )
+    p.add_argument("--json", action="store_true", help="emit a JSON document")
+    p.set_defaults(func=cmd_check_cert)
+
     p = sub.add_parser("ramsey", help="diagonal Ramsey upper bound for pairs")
     p.add_argument("--colors", type=int, required=True)
     p.add_argument("--target", type=int, required=True)
@@ -266,6 +299,9 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except RecursionError:
+        print("error: a bound value is nested too deeply to walk", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

@@ -389,17 +389,25 @@ class BoundPool:
 
 
 def pool_to_values(nodes: list[dict]) -> list[BoundValue]:
+    """The values of a pool written by ``BoundPool``; a child reference that
+    is not the id of an earlier node raises ValueError."""
     values: list[BoundValue] = []
+
+    def child(vid) -> BoundValue:
+        if type(vid) is not int or not 0 <= vid < len(values):
+            raise ValueError(f"value {len(values)} refers to {vid!r}, not to an earlier value")
+        return values[vid]
+
     for node in nodes:
         kind = node.get("kind")
         if kind == "exact":
             values.append(BExact(int(node["value"])))
         elif kind == "succ":
-            values.append(BSucc(values[node["of"]]))
+            values.append(BSucc(child(node["of"])))
         elif kind == "max":
-            values.append(BMax(tuple(values[i] for i in node["of"])))
+            values.append(BMax(tuple(child(i) for i in node["of"])))
         elif kind == "ramsey":
-            values.append(BRamsey(int(node["colors"]), values[node["target"]]))
+            values.append(BRamsey(int(node["colors"]), child(node["target"])))
         else:
             raise ValueError(f"unknown bound value kind {kind!r}")
     return values

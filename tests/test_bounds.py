@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -29,8 +30,18 @@ from ladderlab import (
     verify_certificate,
     word_formula,
 )
-from ladderlab.bounds import RangeCert
+from ladderlab.bounds import FORMAT_V1, FORMAT_V2, RangeCert
 from ladderlab.ramsey import bv_exact, bv_max, bv_ramsey, bv_succ, is_ge_int, le_bound
+
+
+# `ladderlab bound --word "x1 y1" --radius 1 --groups specs/z2.json
+# specs/z2.json --json` as written in format @1, which recorded every proper
+# subrange of a composite range
+V1_FIXTURE = Path(__file__).parent / "data" / "certificate_v1_z2z2_x1y1_r1.json"
+
+
+def load_v1_fixture() -> BoundCertificate:
+    return BoundCertificate.from_json(json.loads(V1_FIXTURE.read_text(encoding="utf-8")))
 
 
 def test_negation_bound_values():
@@ -247,8 +258,8 @@ def test_theorem_bound_dominates_random_words(z2z2, z2z3, z3z3):
         assert rep.verdict == "VERIFIED", (w.render(), r, rep.verdict)
 
 
-def test_subproducts_enumerated(z2z2):
-    cert = theorem_bound(parse_word("x1 y1"), 1, z2z2.factors)
+def test_subproducts_enumerated():
+    cert = load_v1_fixture()
     rc = cert.ranges[(0, 3)]
     ranges = {(s.start, s.stop) for s in rc.subproducts}
     expected = {
@@ -380,25 +391,37 @@ def forge_word_radius(cert):
     return replace(cert, word="x1 y1 x1", radius=7)
 
 
-@pytest.mark.parametrize(
-    "forge",
-    [
-        forge_colors_one,
-        forge_colors,
-        forge_dropped_subproduct,
-        forge_duplicated_subproduct,
-        forge_base_over_blocks,
-        forge_root_range,
-        forge_ell,
-        forge_missing_range,
-        forge_mu,
-        forge_value,
-        forge_rewritten_cut,
-        forge_base_shape,
-        forge_base_factor,
-        forge_word_radius,
-    ],
-)
+def forge_child_swapped(cert):
+    # the root records the smaller (0, 1) where (0, 2) belongs
+    inner = cert.ranges[(0, 1)].value
+    swapped = {"eq": inner, "neq": bv_succ(inner)}
+    subs = [
+        replace(s, stop=1, value=swapped[s.polarity]) if (s.start, s.stop) == (0, 2) else s
+        for s in cert.ranges[cert.root].subproducts
+    ]
+    return forge_root(cert, subproducts=subs)
+
+
+FORGERIES = [
+    forge_colors_one,
+    forge_colors,
+    forge_dropped_subproduct,
+    forge_duplicated_subproduct,
+    forge_base_over_blocks,
+    forge_root_range,
+    forge_ell,
+    forge_missing_range,
+    forge_mu,
+    forge_value,
+    forge_rewritten_cut,
+    forge_base_shape,
+    forge_base_factor,
+    forge_word_radius,
+    forge_child_swapped,
+]
+
+
+@pytest.mark.parametrize("forge", FORGERIES)
 def test_verify_rejects_forged_certificate(z2z2, forge):
     cert = theorem_bound(parse_word("x1 y1"), 1, z2z2.factors)
     assert verify_certificate(cert)
@@ -408,10 +431,143 @@ def test_verify_rejects_forged_certificate(z2z2, forge):
     assert verify_certificate(parsed) is False
 
 
-def test_colors_one_forgery_claims_two(z2z2):
-    cert = theorem_bound(parse_word("x1 y1"), 1, z2z2.factors)
+def test_colors_one_forgery_claims_two():
+    cert = load_v1_fixture()
     forged = forge_colors_one(cert)
     assert forged.bound is bv_exact(2)
     # replay derives colors and subproducts from the rules, not the trace
     assert replay_certificate(forged) is cert.bound
     assert verify_certificate(forged) is False
+
+
+# -- certificate formats: @2 records two children, @1 every proper subrange ---
+
+
+@pytest.mark.parametrize("forge", FORGERIES)
+def test_verify_rejects_forged_v1_certificate(forge):
+    cert = load_v1_fixture()
+    assert cert.format == FORMAT_V1
+    assert verify_certificate(cert)
+    forged = forge(cert)
+    parsed = BoundCertificate.from_json(json.loads(json.dumps(forged.to_json())))
+    assert parsed.format == FORMAT_V1
+    assert verify_certificate(forged) is False
+    assert verify_certificate(parsed) is False
+
+
+def test_v2_records_the_two_maximal_children(z2z3):
+    cert = theorem_bound(parse_word("x1 y1 x1^-1 y1^-1"), 2, z2z3.factors)
+    assert cert.format == FORMAT_V2
+    assert cert.ell == 9
+    composite = [rc for rc in cert.ranges.values() if rc.stop > rc.start]
+    assert len(composite) == 9 * 8 // 2
+    for rc in composite:
+        i, j = rc.start, rc.stop
+        assert [(s.start, s.stop, s.polarity) for s in rc.subproducts] == [
+            (i, j - 1, "eq"),
+            (i, j - 1, "neq"),
+            (i + 1, j, "eq"),
+            (i + 1, j, "neq"),
+        ]
+    assert cert.to_json()["format"] == FORMAT_V2
+
+
+def test_v2_bound_equals_v1_bound_on_corpus(z2z2, z2z3, z3z3):
+    # R(c, t) >= t, so mu over the two children is the same number as mu over
+    # every proper subrange; the @1 rule replays the same trace
+    words = ("x1 y1", "x1 y1^-1", "x1 y1 x1^-1 y1^-1", "x1 x2 y1 y2", "x1 y1 x2")
+    for context in (z2z2, z2z3, z3z3):
+        for text in words:
+            for r in (1, 2):
+                cert = theorem_bound(parse_word(text), r, context.factors)
+                v1 = replay_certificate(replace(cert, format=FORMAT_V1))
+                assert le_bound(cert.bound, v1) is True, (text, r)
+                assert le_bound(v1, cert.bound) is True, (text, r)
+
+
+def test_walk_rejects_an_unknown_format(z2z2):
+    cert = replace(theorem_bound(parse_word("x1 y1"), 1, z2z2.factors), format="ladderlab-certificate@9")
+    assert verify_certificate(cert) is False
+    with pytest.raises(ValueError, match="unknown certificate format"):
+        replay_certificate(cert)
+
+
+def test_from_json_accepts_both_formats(z2z2):
+    assert load_v1_fixture().format == FORMAT_V1
+    cert = theorem_bound(parse_word("x1 y1"), 1, z2z2.factors)
+    back = BoundCertificate.from_json(json.loads(json.dumps(cert.to_json())))
+    assert back.format == FORMAT_V2
+    assert back.bound is cert.bound
+
+
+def _v2_doc(z2z2) -> dict:
+    return json.loads(json.dumps(theorem_bound(parse_word("x1 y1"), 1, z2z2.factors).to_json()))
+
+
+@pytest.mark.parametrize("fmt", ["ladderlab-certificate@3", "", "ladderlab-certificate"])
+def test_from_json_rejects_an_unknown_format(z2z2, fmt):
+    doc = _v2_doc(z2z2)
+    doc["format"] = fmt
+    with pytest.raises(ValueError, match="unknown certificate format"):
+        BoundCertificate.from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [("format",), ("ranges",), ("values",), ("bound",), ("ell",), ("word",), ("ranges", 0, "range"),
+     ("ranges", -1, "mu"), ("ranges", -1, "subproducts", 0, "polarity"), ("values", 0, "kind")],
+)
+def test_from_json_rejects_a_missing_key(z2z2, path):
+    doc = _v2_doc(z2z2)
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    del parent[path[-1]]
+    with pytest.raises(ValueError):
+        BoundCertificate.from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("format",), 2),
+        (("ell",), "4"),
+        (("ell",), True),
+        (("bound",), "3"),
+        (("bound",), 10_000),
+        (("ranges",), {}),
+        (("root",), [0]),
+        (("ranges", 0, "range"), [0, "0"]),
+        (("ranges", 0, "eq_index"), 1.5),
+        (("ranges", -1, "colors"), None),
+        (("ranges", -1, "subproducts"), "none"),
+        (("values",), [None]),
+        (("values", 0), {"kind": "succ", "of": 99}),
+        (("values", 1), {"kind": "succ", "of": -1}),
+        (("values", 1), {"kind": "max", "of": [0, 1]}),
+    ],
+)
+def test_from_json_rejects_a_wrong_type(z2z2, path, value):
+    doc = _v2_doc(z2z2)
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = value
+    with pytest.raises(ValueError):
+        BoundCertificate.from_json(doc)
+
+
+@pytest.mark.parametrize("load", ["v1", "v2"])
+def test_verify_rejects_a_stray_range(z2z2, load):
+    cert = load_v1_fixture() if load == "v1" else theorem_bound(parse_word("x1 y1"), 1, z2z2.factors)
+    stray = replace(cert.ranges[(0, 0)], start=5, stop=5)
+    forged = replace(cert, ranges={**cert.ranges, (5, 5): stray})
+    assert replay_certificate(forged) is cert.bound
+    assert verify_certificate(forged) is False
+
+
+def test_from_json_rejects_a_range_listed_twice(z2z2):
+    doc = _v2_doc(z2z2)
+    doc["ranges"].append(doc["ranges"][0])
+    with pytest.raises(ValueError, match="listed twice"):
+        BoundCertificate.from_json(doc)

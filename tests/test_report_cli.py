@@ -186,7 +186,7 @@ def test_cmd_bound_structure(spec_files, capsys):
     assert code == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert doc["ell"] == 4
-    assert doc["format"] == "ladderlab-certificate@1"
+    assert doc["format"] == "ladderlab-certificate@2"
 
 
 def test_cmd_verify_verified(spec_files, capsys):
@@ -420,3 +420,121 @@ def test_cmd_ramsey_json(capsys):
     assert run(["ramsey", "--colors", "3", "--target", "3", "--json"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert doc["value"] == "17"
+
+
+# -- check-cert ----------------------------------------------------------------
+
+V1_FIXTURE = Path(__file__).parent / "data" / "certificate_v1_z2z2_x1y1_r1.json"
+
+
+def write_bound(spec_files, capsys, path, word="x1 y1", radius="1"):
+    argv = ["bound", "--word", word, "--radius", radius, "--groups", spec_files["z2"], spec_files["z2"], "--json"]
+    assert run(argv) == EXIT_OK
+    path.write_text(capsys.readouterr().out, encoding="utf-8")
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def test_check_cert_accepts_the_v1_fixture(spec_files, capsys):
+    assert run(["check-cert", str(V1_FIXTURE)]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("valid ladderlab-certificate@1")
+    groups = ["--groups", spec_files["z2"], spec_files["z2"], "--json"]
+    assert run(["check-cert", str(V1_FIXTURE)] + groups) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["valid"] is True
+    assert doc["bases_searched"] == 4
+
+
+def test_check_cert_accepts_an_honest_v2_file(spec_files, capsys, tmp_path):
+    path = tmp_path / "cert.json"
+    assert write_bound(spec_files, capsys, path, "x1 y1 x1^-1 y1^-1", "2")["format"] == "ladderlab-certificate@2"
+    assert run(["check-cert", str(path), "--json"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["valid"] is True and doc["error"] is None
+    assert run(["check-cert", str(path), "--groups", spec_files["z2"], spec_files["z2"]]) == EXIT_OK
+
+
+def test_check_cert_rejects_a_forged_file(spec_files, capsys, tmp_path):
+    path = tmp_path / "cert.json"
+    doc = write_bound(spec_files, capsys, path)
+    # claim the smallest exact value in the pool as the bound
+    doc["bound"] = next(i for i, node in enumerate(doc["values"]) if node["kind"] == "exact")
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["check-cert", str(path)]) == EXIT_PARSE
+    out = capsys.readouterr().out
+    assert out.startswith("invalid ladderlab-certificate@2 certificate: the bound is not")
+
+
+def test_check_cert_searches_base_indices_only_with_groups(spec_files, capsys, tmp_path, z2z2):
+    from ladderlab import block_decompose, change_of_variables, lemma_bound
+    from ladderlab.bounds import SearchBaseOracle
+
+    # one base index changed at the source, so the trace stays consistent
+    oracle = SearchBaseOracle(z2z2.factors)
+
+    def base(factor, block, negated):
+        value = oracle(factor, block, negated)
+        return value + 1 if block.render() == "x1@0" and not negated else value
+
+    word = parse_word("x1 y1")
+    decomp = block_decompose(change_of_variables(word, 1, 2))
+    cert = lemma_bound(decomp, base, factors=z2z2.factors, word_text="x1 y1", radius=1)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert.to_json()), encoding="utf-8")
+    assert run(["check-cert", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    assert run(["check-cert", str(path), "--groups", spec_files["z2"], spec_files["z2"]]) == EXIT_PARSE
+    assert "range (0, 0) records indices (2, 2); the search gives (1, 2)" in capsys.readouterr().out
+
+
+def test_check_cert_malformed_files_exit_2(capsys, tmp_path):
+    doc = json.loads(V1_FIXTURE.read_text(encoding="utf-8"))
+    for mutate in (lambda d: d.update(format="ladderlab-certificate@0"), lambda d: d.pop("ranges")):
+        broken = json.loads(json.dumps(doc))
+        mutate(broken)
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(broken), encoding="utf-8")
+        assert run(["check-cert", str(path)]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("error: ")
+    path.write_text("{", encoding="utf-8")
+    assert run(["check-cert", str(path)]) == EXIT_PARSE
+    assert run(["check-cert", str(tmp_path / "absent.json")]) == EXIT_PARSE
+
+
+def deep_certificate(levels=2000) -> dict:
+    """The fixture with its bound replaced by BSucc(BRamsey(5, .)) nested
+    ``levels`` times over the true bound."""
+    doc = json.loads(V1_FIXTURE.read_text(encoding="utf-8"))
+    values, top = doc["values"], doc["bound"]
+    for _ in range(levels):
+        values.append({"kind": "ramsey", "colors": 5, "target": top})
+        values.append({"kind": "succ", "of": len(values) - 1})
+        top = len(values) - 1
+    doc["bound"] = top
+    return doc
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+def test_check_cert_deep_bound_exits_cleanly(capsys, tmp_path, fmt):
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(deep_certificate()), encoding="utf-8")
+    assert run(["check-cert", str(path)] + fmt) in (EXIT_PARSE, EXIT_RESOURCE)
+    captured = capsys.readouterr()
+    text = captured.out + captured.err
+    assert "Traceback" not in text
+    if not fmt:
+        assert len(text.strip().splitlines()) == 1
+
+
+def test_recursion_error_maps_to_exit_3(capsys, tmp_path, monkeypatch):
+    from ladderlab import BoundCertificate, cli, sat_min
+
+    deep = BoundCertificate.from_json(deep_certificate())
+    with pytest.raises(RecursionError):
+        sat_min(deep.bound, 8)
+    monkeypatch.setattr(cli, "check_certificate", lambda cert: sat_min(cert.bound, 8))
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(deep_certificate()), encoding="utf-8")
+    assert run(["check-cert", str(path)]) == EXIT_RESOURCE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a bound value is nested too deeply to walk\n"
