@@ -6,13 +6,20 @@ recursion (base indices per single block, subproduct bounds in both
 polarities, the mu values, and the Ramsey applications) that can be replayed
 independently of the code that produced it.
 
+The recursion's rules live in one function, ``_derive_trace``: from each
+block's base indices it derives every range's value, colors, mu and
+subproducts. ``lemma_bound`` writes its trace; replay derives it again from
+the recorded base entries alone, and the checker requires every recorded
+range to be the derived one.
+
 A composite range records only its two maximal children, (i, j-1) and
-(i+1, j), in both polarities (format ``ladderlab-certificate@2``, O(ell^2)
-refs). Every proper subrange lies inside one of them, and a range's value
-R(4^len, mu) is at least its mu, which is one past its own subproducts; so
-the maximum over the two children is the maximum over every proper
-subrange, and mu is the same number. Format ``@1`` recorded every proper
-subrange; its certificates still parse, replay and check by their own rule.
+(i+1, j), in that order, each eq then neq (format
+``ladderlab-certificate@2``, O(ell^2) refs). Every proper subrange lies
+inside one of them, and a range's value R(4^len, mu) is at least its mu,
+which is one past its own subproducts; so the maximum over the two children
+is the maximum over every proper subrange, and mu is the same number.
+Format ``@1`` recorded every proper subrange; its certificates still parse,
+replay and check by their own rule.
 """
 
 from __future__ import annotations
@@ -306,6 +313,41 @@ def _maximal_children(i: int, j: int) -> list[tuple[int, int]]:
 _SUBRANGES = {FORMAT_V1: _proper_subranges, FORMAT_V2: _maximal_children}
 
 
+def _derive_trace(
+    indices: Sequence[tuple[int, int]],
+    first: int,
+    subranges: Callable[[int, int], list[tuple[int, int]]],
+) -> dict[tuple[int, int], tuple]:
+    """The trace the recursion's rules give for blocks ``first``,
+    ``first + 1``, ... with base indices ``indices`` (eq, neq): each range
+    maps to (value, colors, mu, subproducts), each subproduct (start, stop,
+    polarity, value), in the order ``for j: for i from j down to first``.
+
+    A single block's value is the larger of its indices (colors and mu are
+    None). A composite range records the subproducts ``subranges`` names,
+    each eq then neq (a single block carries both from its indices; a
+    composite one is its value, then one more by negation_bound); mu is one
+    past their maximum and the value is the Ramsey upper bound with 4^len
+    colors (the per-block cases compose into a product coloring)."""
+    trace: dict[tuple[int, int], tuple] = {}
+    polar: dict[tuple[int, int], tuple[BoundValue, BoundValue]] = {}
+    for j, (eq, neq) in enumerate(indices, first):
+        trace[(j, j)] = (bv_exact(max(eq, neq)), None, None, ())
+        polar[(j, j)] = (bv_exact(eq), bv_exact(neq))
+        for i in range(j - 1, first - 1, -1):
+            subs = tuple(
+                (a, b, pol, v)
+                for a, b in subranges(i, j)
+                for pol, v in zip(("eq", "neq"), polar[(a, b)])
+            )
+            mu = bv_succ(bv_max([s[3] for s in subs]))
+            colors = CASES_PER_BLOCK ** (j - i + 1)
+            value = bv_ramsey(colors, mu)
+            trace[(i, j)] = (value, colors, mu, subs)
+            polar[(i, j)] = (value, bv_succ(value))
+    return trace
+
+
 def lemma_bound(
     decomp: BlockDecomposition,
     base: BaseOracle,
@@ -313,87 +355,43 @@ def lemma_bound(
     word_text: str | None = None,
     radius: int | None = None,
 ) -> BoundCertificate:
-    """Bound for an alternating block decomposition.
-
-    One block: the larger of the two base polarities. More blocks: the two
-    maximal proper subproducts are bounded recursively in both polarities
-    (not-equals via negation_bound), mu is one past their maximum (which is
-    the maximum over every proper subproduct, see the module docstring), and
-    the result is the Ramsey upper bound with 4^ell colors (the per-block
-    cases compose into a product coloring).
-    """
+    """Bound for an alternating block decomposition: the base oracle's
+    indices of every block, in block order, and the trace ``_derive_trace``
+    gives for them with each composite range recording its two maximal
+    children."""
     if decomp.ell < 1:
         raise ValueError("lemma recursion needs at least one block")
     for a, b in zip(decomp.blocks, decomp.blocks[1:]):
         if a.factor == b.factor:
             raise AnnotationMismatch("adjacent blocks must alternate factors")
-    factor_map = {f.id: f for f in factors} if factors is not None else None
+    if factors is None:
+        raise ValueError(f"no factor group supplied for annotation {decomp.blocks[0].factor}")
+    factor_map = {f.id: f for f in factors}
 
+    indices = []
+    for i, blk in enumerate(decomp.blocks):
+        factor, block = factor_map[blk.factor], decomp.block_word(i)
+        indices.append((base(factor, block, False), base(factor, block, True)))
     ranges: dict[tuple[int, int], RangeCert] = {}
-
-    def factor_for(fid: int) -> FactorGroup:
-        if factor_map is not None:
-            return factor_map[fid]
-        raise ValueError(f"no factor group supplied for annotation {fid}")
-
-    def bound_for(i: int, j: int) -> RangeCert:
-        key = (i, j)
-        cached = ranges.get(key)
-        if cached is not None:
-            return cached
-        ell = j - i + 1
-        if ell == 1:
-            block = decomp.block_word(i)
-            factor = factor_for(decomp.blocks[i].factor)
-            eq = base(factor, block, False)
-            neq = base(factor, block, True)
-            rc = RangeCert(
-                start=i,
-                stop=j,
-                kind="base",
-                value=bv_exact(max(eq, neq)),
-                factor=factor.id,
-                shape=word_shape(block),
-                eq_index=eq,
-                neq_index=neq,
-            )
+    for (i, j), (value, colors, mu, subs) in _derive_trace(indices, 0, _maximal_children).items():
+        if i == j:
+            eq, neq = indices[i]
+            shape = word_shape(decomp.block_word(i))
+            rc = RangeCert(i, j, "base", value, decomp.blocks[i].factor, shape, eq, neq)
         else:
-            subs: list[SubproductRef] = []
-            for a, b in _maximal_children(i, j):
-                sub = bound_for(a, b)
-                if sub.kind == "base":
-                    # single blocks carry both polarities from the oracle
-                    eq_v = bv_exact(sub.eq_index)
-                    neq_v = bv_exact(sub.neq_index)
-                else:
-                    eq_v = sub.value
-                    neq_v = bv_succ(sub.value)
-                subs.append(SubproductRef(a, b, "eq", eq_v))
-                subs.append(SubproductRef(a, b, "neq", neq_v))
-            mu = bv_succ(bv_max([s.value for s in subs]))
-            colors = CASES_PER_BLOCK**ell
-            rc = RangeCert(
-                start=i,
-                stop=j,
-                kind="ramsey",
-                value=bv_ramsey(colors, mu),
-                colors=colors,
-                mu=mu,
-                subproducts=tuple(subs),
-            )
-        ranges[key] = rc
-        return rc
-
-    root = bound_for(0, decomp.ell - 1)
+            refs = tuple(SubproductRef(*s) for s in subs)
+            rc = RangeCert(i, j, "ramsey", value, colors=colors, mu=mu, subproducts=refs)
+        ranges[(i, j)] = rc
+    root = (0, decomp.ell - 1)
     return BoundCertificate(
-        bound=root.value,
+        bound=ranges[root].value,
         word=word_text if word_text is not None else "",
         rewritten=render_word(decomp.word),
         ell=decomp.ell,
         radius=radius,
-        num_factors=len(factor_map) if factor_map is not None else None,
+        num_factors=len(factor_map),
         ranges=ranges,
-        root=(0, decomp.ell - 1),
+        root=root,
     )
 
 
@@ -428,17 +426,16 @@ def theorem_bound(
 
 
 def _walk_certificate(cert: BoundCertificate, check: bool) -> BoundValue:
-    """Recompute the bound from the base entries by the recursion's rules,
-    shortest ranges first. With ``check``, also require the trace to be the
-    one the rules give - the rewritten word is the change of variables of
+    """Derive the trace from the root's base entries by the format's rule
+    (@2: the two maximal children; @1: every proper subrange) and return the
+    root's value. With ``check``, also require the certificate to be the one
+    the rules give - the rewritten word is the change of variables of
     ``word`` (when ``radius`` and ``num_factors`` are recorded), ``ell`` is
-    its block count, the root spans all ``ell`` blocks and the trace holds
-    no other range, a base entry spans one block and records that block's
-    factor and shape, a composite entry has ``4**len`` colors and exactly
-    the subranges its format names (@2: the two maximal children; @1: every
-    proper subrange) in both polarities, and every recorded value is the
-    recomputed node (the same object, as nodes are hash-consed) - and raise
-    ValueError at the first entry that is not."""
+    its block count, the root spans all ``ell`` blocks, a base entry records
+    its block's factor and shape, every recorded range is the derived entry
+    (values compared as objects, as nodes are hash-consed; subproducts in
+    the rule's order), there is no other range, and the bound is the root's
+    value - and raise ValueError at the first entry that is not."""
     subranges = _SUBRANGES.get(cert.format)
     if subranges is None:
         raise ValueError(f"unknown certificate format {cert.format!r}")
@@ -458,48 +455,36 @@ def _walk_certificate(cert: BoundCertificate, check: bool) -> BoundValue:
     first, last = cert.root
     if last < first or (check and (first, last) != (0, cert.ell - 1)):
         raise ValueError(f"root {cert.root} does not span the {cert.ell} blocks")
-    span = last - first + 1
-    polar: dict[tuple[int, int, str], BoundValue] = {}
-    for length in range(1, span + 1):
-        for i in range(first, last - length + 2):
-            key = (i, i + length - 1)
-            rc = cert.ranges.get(key)
-            if rc is None or (rc.start, rc.stop) != key:
-                raise ValueError(f"range {key} is missing")
-            if length == 1:
-                if check and (
-                    rc.kind != "base"
-                    or rc.factor != decomp.blocks[i].factor
-                    or rc.shape != word_shape(decomp.block_word(i))
-                ):
-                    raise ValueError(f"range {key} is not the base entry of block {i}")
-                eq, neq = bv_exact(rc.eq_index), bv_exact(rc.neq_index)
-                value = bv_exact(max(rc.eq_index, rc.neq_index))
-            else:
-                subs = [(a, b, pol) for a, b in subranges(*key) for pol in ("eq", "neq")]
-                mu = bv_succ(bv_max([polar[s] for s in subs]))
-                colors = CASES_PER_BLOCK**length
-                value = bv_ramsey(colors, mu)
-                if check:
-                    recorded = {(s.start, s.stop, s.polarity): s.value for s in rc.subproducts}
-                    if rc.kind != "ramsey" or rc.colors != colors:
-                        raise ValueError(f"range {key} does not apply {colors} colors")
-                    if len(rc.subproducts) != len(subs) or any(
-                        recorded.get(s) is not polar[s] for s in subs
-                    ):
-                        raise ValueError(f"range {key} has wrong subproducts")
-                    if rc.mu is not mu:
-                        raise ValueError(f"mu mismatch at range {key}")
-                eq, neq = value, bv_succ(value)
-            if check and rc.value is not value:
-                raise ValueError(f"value mismatch at range {key}")
-            polar[key + ("eq",)] = eq
-            polar[key + ("neq",)] = neq
-    if check and len(cert.ranges) != span * (span + 1) // 2:
-        raise ValueError("the trace has ranges outside the root")
-    if check and cert.bound is not value:
-        raise ValueError("the bound is not the root range's value")
+    indices = []
+    for i in range(first, last + 1):
+        rc = _recorded(cert, (i, i))
+        if check and (
+            rc.kind != "base"
+            or rc.factor != decomp.blocks[i].factor
+            or rc.shape != word_shape(decomp.block_word(i))
+        ):
+            raise ValueError(f"range {(i, i)} is not the base entry of block {i}")
+        indices.append((rc.eq_index, rc.neq_index))
+    trace = _derive_trace(indices, first, subranges)
+    value = trace[cert.root][0]
+    if check:
+        for key, entry in trace.items():
+            rc = _recorded(cert, key)
+            subs = tuple((s.start, s.stop, s.polarity, s.value) for s in rc.subproducts)
+            if (key[0] < key[1] and rc.kind != "ramsey") or (rc.value, rc.colors, rc.mu, subs) != entry:
+                raise ValueError(f"range {key} is not the entry the rules give")
+        if len(cert.ranges) != len(trace):
+            raise ValueError("the trace has ranges outside the root")
+        if cert.bound is not value:
+            raise ValueError("the bound is not the root range's value")
     return value
+
+
+def _recorded(cert: BoundCertificate, key: tuple[int, int]) -> RangeCert:
+    rc = cert.ranges.get(key)
+    if rc is None or (rc.start, rc.stop) != key:
+        raise ValueError(f"range {key} is missing")
+    return rc
 
 
 def replay_certificate(cert: BoundCertificate) -> BoundValue:

@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, groups=True):
+    def add_common(p, groups=True, cap=False):
         if groups:
             p.add_argument(
                 "--groups",
@@ -217,12 +217,13 @@ def build_parser() -> argparse.ArgumentParser:
             default=1,
             help="accepted and ignored: the ladder search is single-threaded",
         )
-        p.add_argument(
-            "--cap",
-            type=int,
-            default=DEFAULT_BALL_CAP,
-            help="resource cap for ball members",
-        )
+        if cap:
+            p.add_argument(
+                "--cap",
+                type=int,
+                default=DEFAULT_BALL_CAP,
+                help="resource cap for ball members",
+            )
 
     p = sub.add_parser("reduce", help="reduce a raw letter sequence to normal form")
     p.add_argument("text", help="letters like 'f0:1 f1:2' (ε or empty for identity)")
@@ -231,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ball", help="enumerate the ball of a given radius")
     p.add_argument("--radius", type=int, required=True)
-    add_common(p)
+    add_common(p, cap=True)
     p.set_defaults(func=cmd_ball)
 
     p = sub.add_parser("index", help="brute-force stability index of a word")
@@ -241,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--factor", type=int, default=None, help="search over one whole finite factor"
     )
     p.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF)
-    add_common(p)
+    add_common(p, cap=True)
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("bound", help="compute a bound certificate")
@@ -260,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="fault injection: replace the computed bound (testing only)",
     )
-    add_common(p)
+    add_common(p, cap=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("check-cert", help="check a bound certificate file against the rules")

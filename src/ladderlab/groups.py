@@ -55,10 +55,6 @@ class FactorGroup:
     supplied_indices: Mapping[str, int] = field(default_factory=dict)
     inverses: tuple[int, ...] | None = field(default=None, repr=False)
 
-    @property
-    def is_finite(self) -> bool:
-        return not self.declared_infinite
-
     def _require_finite(self) -> None:
         if self.declared_infinite:
             raise InfiniteFactor(
@@ -83,10 +79,6 @@ class FactorGroup:
     def elements(self) -> list[FactorElement]:
         self._require_finite()
         return [FactorElement(self.id, e) for e in range(self.order)]  # type: ignore[arg-type]
-
-    def identity_element(self) -> FactorElement:
-        self._require_finite()
-        return FactorElement(self.id, self.identity)  # type: ignore[arg-type]
 
     def elem_mul(self, g: FactorElement, h: FactorElement) -> FactorElement:
         if g.factor != h.factor:

@@ -319,44 +319,30 @@ def bv_ramsey(colors: int, target: BoundValue) -> BoundValue:
 def render_bound(v: BoundValue, limit: int = 4000) -> str:
     """Expression rendering with a character budget; exact values print as
     decimal digits, deep expressions truncate with an ellipsis. Bound values
-    share subtrees heavily, so a full tree rendering can explode."""
+    share subtrees heavily, so a full tree rendering can explode. Walks an
+    explicit stack of pending text and nodes, so depth costs no recursion."""
     parts: list[str] = []
     budget = limit
-
-    class _Exhausted(Exception):
-        pass
-
-    def emit(s: str) -> None:
-        nonlocal budget
-        parts.append(s)
-        budget -= len(s)
-        if budget <= 0:
-            raise _Exhausted
-
-    def walk(v: BoundValue) -> None:
-        if isinstance(v, BExact):
-            emit(str(v.value))
-        elif isinstance(v, BSucc):
-            emit("(")
-            walk(v.base)
-            emit(" + 1)")
-        elif isinstance(v, BMax):
-            emit("max(")
-            for i, item in enumerate(v.items):
-                if i:
-                    emit(", ")
-                walk(item)
-            emit(")")
+    stack: list[BoundValue | str] = [v]
+    while stack:
+        item = stack.pop()
+        # a node pushes its text and children in reverse, so they pop in order
+        if isinstance(item, BSucc):
+            stack += [" + 1)", item.base, "("]
+        elif isinstance(item, BMax):
+            stack.append(")")
+            for i in range(len(item.items) - 1, 0, -1):
+                stack += [item.items[i], ", "]
+            stack += [*item.items[:1], "max("]
+        elif isinstance(item, BRamsey):
+            stack += [")", item.target, f"R({item.colors},2,"]
         else:
-            assert isinstance(v, BRamsey)
-            emit(f"R({v.colors},2,")
-            walk(v.target)
-            emit(")")
-
-    try:
-        walk(v)
-    except _Exhausted:
-        parts.append("\u2026")
+            text = str(item.value) if isinstance(item, BExact) else item
+            parts.append(text)
+            budget -= len(text)
+            if budget <= 0:
+                parts.append("\u2026")
+                break
     return "".join(parts)
 
 

@@ -571,3 +571,53 @@ def test_from_json_rejects_a_range_listed_twice(z2z2):
     doc["ranges"].append(doc["ranges"][0])
     with pytest.raises(ValueError, match="listed twice"):
         BoundCertificate.from_json(doc)
+
+
+# -- the committed @2 fixture and the single derivation ------------------------
+
+# `ladderlab bound --word "x1 y1" --radius 1 --groups specs/z2.json
+# specs/z2.json --json` as written by the recursive producer that preceded
+# `_derive_trace`; with the @1 fixture it pins the trace independently of the
+# rule function that now both writes and checks certificates
+V2_FIXTURE = Path(__file__).parent / "data" / "certificate_v2_z2z2_x1y1_r1.json"
+
+
+def test_theorem_bound_writes_the_v2_fixture(z2z2):
+    from ladderlab import check_certificate
+
+    text = V2_FIXTURE.read_text(encoding="utf-8")
+    fixture = json.loads(text)
+    doc = theorem_bound(parse_word("x1 y1"), 1, z2z2.factors).to_json()
+    assert doc.keys() == fixture.keys()
+    for key in fixture:
+        assert doc[key] == fixture[key], key
+    assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == text
+    parsed = BoundCertificate.from_json(fixture)
+    assert parsed.format == FORMAT_V2
+    assert check_certificate(parsed) is parsed.bound
+
+
+def _with_fixtures(z2z2):
+    return [load_v1_fixture(), theorem_bound(parse_word("x1 y1"), 1, z2z2.factors)]
+
+
+def test_replay_reads_only_the_base_entries(z2z2):
+    for cert in _with_fixtures(z2z2):
+        for dropped in [(1, 2), (0, 1), cert.root]:
+            forged = replace(cert, ranges={k: v for k, v in cert.ranges.items() if k != dropped})
+            assert replay_certificate(forged) is cert.bound
+            assert verify_certificate(forged) is False
+        bases = {k: v for k, v in cert.ranges.items() if k[0] == k[1]}
+        assert replay_certificate(replace(cert, ranges=bases)) is cert.bound
+
+
+def test_reordered_subproducts_are_rejected(z2z2):
+    # the same refs, so mu and the value are unchanged; only the order breaks
+    for cert in _with_fixtures(z2z2):
+        subs = cert.ranges[cert.root].subproducts
+        forged = forge_root(cert, subproducts=subs[::-1])
+        assert forged.bound is cert.bound
+        assert replay_certificate(forged) is cert.bound
+        assert verify_certificate(forged) is False
+        swapped = forge_root(cert, subproducts=(subs[1], subs[0]) + subs[2:])
+        assert verify_certificate(swapped) is False

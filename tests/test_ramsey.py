@@ -315,3 +315,27 @@ def test_recurrence_sweeps_keep_no_module_tables():
             for cap in (5, 100, 20_000):
                 assert ramsey_sat(colors, target, cap) == min(exact, cap)
     assert table_sizes() == before
+
+
+def test_render_bound_walks_deep_values_without_recursion():
+    v = bv_ramsey(16, bv_exact(10**9))
+    for _ in range(1500):
+        v = bv_succ(v)
+    s = render_bound(v)
+    assert s.startswith("(" * 1500 + "R(16,2,1000000000)")
+    assert s.endswith(" + 1)…")
+    assert 4000 <= len(s) < 4010
+    # within the budget a deep value renders in full
+    assert render_bound(v, limit=10_000) == "(" * 1500 + "R(16,2,1000000000)" + " + 1)" * 1500
+
+
+def test_render_bound_short_values_unchanged():
+    # texts the recursive renderer wrote, including truncation points
+    v = bv_ramsey(64, bv_exact(56874039553220))
+    root = bv_ramsey(256, bv_succ(bv_max([bv_exact(56874039553219), bv_succ(v), v])))
+    text = "R(256,2,(max(56874039553219, (R(64,2,56874039553220) + 1), R(64,2,56874039553220)) + 1))"
+    assert render_bound(root) == text
+    assert render_bound(root, limit=len(text)) == text + "…"
+    assert render_bound(root, limit=len(text) + 1) == text
+    assert render_bound(root, limit=12) == "R(256,2,(max(…"
+    assert render_bound(root, limit=1) == "R(256,2,…"

@@ -538,3 +538,17 @@ def test_recursion_error_maps_to_exit_3(capsys, tmp_path, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: a bound value is nested too deeply to walk\n"
+
+
+def test_cap_only_on_commands_that_build_a_ball(spec_files, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["ramsey", "--colors", "2", "--target", "3", "--cap", "5"])
+    assert exc.value.code == 2
+    assert "--cap" in capsys.readouterr().err
+    groups = ["--groups", spec_files["z2"], spec_files["z2"]]
+    for argv in (["reduce", "f0:1"], ["bound", "--word", "x1 y1", "--radius", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + groups + ["--cap", "5"])
+        assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(["ball", "--radius", "1", "--cap", "5"] + groups) == EXIT_OK
