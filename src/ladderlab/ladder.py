@@ -5,6 +5,15 @@ of row sequences ā_1..ā_m, b̄_1..b̄_m with φ(ā_i, b̄_j) holding exactly w
 i <= j. Ladders are prefix-closed, so the search is an exact depth-first walk
 over one-pair extensions on Python-int row masks, after the bit-parallel
 maximum-clique search of San Segundo, Rodríguez-Losada & Jiménez (2011).
+
+The walk prunes in the same spirit. A row bound: each later b-row of a ladder
+through a-row i is a distinct b-row on which i holds, so i is skipped when
+those cannot make the path longer than the best ladder found. A profile rule:
+two a-rows of one node that hold on the same candidate b-rows have the same
+children, as do two b-rows under one a-row that leave the same candidate
+a-rows, so only the first of each is walked. Both drop only subtrees that
+cannot beat the best ladder or that repeat one already walked, so the first
+longest ladder in walk order, and with it the witness, is unchanged.
 """
 
 from __future__ import annotations
@@ -174,7 +183,11 @@ def max_ladder(
     supplied for factor-constrained searches. Rows are bits of int masks in
     domain order, taken low to high, so the witness is the lexicographically
     least maximal ladder. Pairs are evaluated lazily, each at most once, into
-    masks that live for this call only. ``threads`` is accepted and ignored.
+    masks that live for this call only. ``nodes_explored`` counts the pruned
+    walk; subtrees that cannot beat the best ladder, or that repeat a walked
+    one, are skipped, so the index, witness and ``cutoff_hit`` are those of
+    the full walk and no pair is evaluated that it would not evaluate.
+    ``threads`` is accepted and ignored.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
@@ -223,21 +236,34 @@ def max_ladder(
         """Walk the extensions of ``path``. Every a-row of ``path`` holds on
         each b-row in b_cand, and each a-row in a_cand fails on every b-row of
         ``path``; so choosing (i, j) keeps the b-rows on which i holds and
-        drops the a-rows that hold on j. True once ``cutoff`` is reached."""
+        drops the a-rows that hold on j. True once ``cutoff`` is reached.
+        Skips the subtrees that the row bound and the profile rule drop."""
         nonlocal best, nodes
+        deeper = len(path) + 1 < cutoff
+        rows_tried = set()
         rest = a_cand
         while rest:
             i = (rest & -rest).bit_length() - 1
             rest &= rest - 1
             b_next = js = row(i, b_cand)
+            if len(path) + b_next.bit_count() <= len(best) or b_next in rows_tried:
+                continue
+            rows_tried.add(b_next)
+            cols_tried = set()
             while js:
                 j = (js & -js).bit_length() - 1
                 js &= js - 1
+                if deeper:
+                    # only below the cutoff, where the child needs this column
+                    a_next = a_cand & ~col(j, a_cand)
+                    if a_next in cols_tried:
+                        continue
+                    cols_tried.add(a_next)
                 nodes += 1
                 path.append((i, j))
                 if len(path) > len(best):
                     best = path[:]
-                stop = len(path) >= cutoff or extend(a_cand & ~col(j, a_cand), b_next)
+                stop = not deeper or extend(a_next, b_next)
                 path.pop()
                 if stop:
                     return True

@@ -45,15 +45,23 @@ SAT_CAP_LIMIT = 20_000
 _LOG10_E = math.log10(math.e)
 
 
+# lgamma takes a float and overflows near 2.5e305; past this many multinomial
+# terms the estimate is math.inf, far above any materialization limit.
+_LGAMMA_TOTAL_LIMIT = 10**300
+
+
 def _log10_factorial(n: int) -> float:
     return math.lgamma(n + 1) * _LOG10_E
 
 
 def digits_estimate(colors: int, target: int) -> float:
-    """log10 of the multinomial upper bound for R(colors, target)."""
+    """log10 of the multinomial upper bound for R(colors, target), or
+    ``math.inf`` once (target - 1) * colors is too big for a float."""
     if target <= 2 or colors == 1:
         return 1.0
     total = (target - 1) * colors
+    if total > _LGAMMA_TOTAL_LIMIT:
+        return math.inf
     return _log10_factorial(total) - colors * _log10_factorial(target - 1)
 
 
@@ -139,9 +147,10 @@ def ramsey_exact(colors: int, target: int) -> int:
 def ramsey_upper(colors: int, target: int) -> int:
     """Exact value of the memoized recurrence; raises if unmaterializable."""
     if colors >= 1 and target >= 1 and not is_materializable(colors, target):
+        digits = digits_estimate(colors, target)
+        size = f"~10^{digits:.0f}" if math.isfinite(digits) else "too large to estimate"
         raise BoundTooLarge(
-            f"R({colors},2,{target}) has ~10^{digits_estimate(colors, target):.0f} "
-            "digits; compare against it lazily instead"
+            f"R({colors},2,{target}) is {size}; compare against it lazily instead"
         )
     return ramsey_exact(colors, target)
 

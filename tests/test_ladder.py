@@ -241,12 +241,25 @@ def test_per_coordinate_domains(z2z3):
 
 def test_commutator_search_pinned(z2z3):
     # index, lex-least witness and visit count of a full search; any change
-    # to the visiting order or the checks shows here
+    # to the visiting order, the checks or the pruning shows here (the
+    # unpruned walk visits 412 nodes)
     w = parse_word("x1 y1 x1^-1 y1^-1")
     result = max_ladder(word_formula(z2z3, w), ball_domain(z2z3, 2), cutoff=8)
     e, a, b = z2z3.identity, z2z3.letter(0, 1), z2z3.letter(1, 1)
-    assert (result.index, result.cutoff_hit, result.nodes_explored) == (3, False, 412)
+    assert (result.index, result.cutoff_hit, result.nodes_explored) == (3, False, 24)
     assert result.witness.a_rows == ((e,), (b,), (z2z3.concat(a, b),))
+    assert result.witness.b_rows == ((a,), (b,), (e,))
+
+
+def test_exhaustive_commutator_search_pinned(z3z3):
+    # a search that must prove no 4-rung ladder exists; the unpruned walk
+    # visits 496,105 nodes for the same witness
+    w = parse_word("x1 y1 x1^-1 y1^-1")
+    result = max_ladder(word_formula(z3z3, w), ball_domain(z3z3, 4), cutoff=8)
+    e, a, b = z3z3.identity, z3z3.letter(0, 1), z3z3.letter(1, 1)
+    assert (result.index, result.cutoff_hit) == (3, False)
+    assert result.nodes_explored <= 1_336
+    assert result.witness.a_rows == ((e,), (b,), (z3z3.concat(a, b),))
     assert result.witness.b_rows == ((a,), (b,), (e,))
 
 
@@ -270,16 +283,22 @@ def test_holds_memo_lives_for_one_call(z2z2):
 
 
 def _same_as_reference(formula, domain):
-    # cutoffs below, at and above the true index
+    """Index, lex-least witness and cutoff flag equal the unpruned walk's at
+    cutoffs below, at and above the true index, and the pruned walk visits
+    no more nodes. Returns how many of those cutoffs it visited fewer at."""
     index = reference_max_ladder(formula, domain.values, 64)[0]
+    fewer = 0
     for cutoff in sorted({1, max(index - 1, 1), max(index, 1), index + 1, 8}):
         r = max_ladder(formula, domain, cutoff=cutoff)
-        got = (r.index, r.witness.a_rows, r.witness.b_rows, r.cutoff_hit, r.nodes_explored)
-        assert got == reference_max_ladder(formula, domain.values, cutoff), cutoff
+        *expected, reference_nodes = reference_max_ladder(formula, domain.values, cutoff)
+        got = [r.index, r.witness.a_rows, r.witness.b_rows, r.cutoff_hit]
+        assert got == expected, cutoff
+        assert r.nodes_explored <= reference_nodes, cutoff
+        fewer += r.nodes_explored < reference_nodes
+    return fewer
 
 
 def test_kernel_matches_reference_walk_on_random_formulas():
-    # index, lex-least witness, cutoff flag and visit count all agree
     rng = random.Random(2011)
     for arity, n, density in ((1, 4, 0.5), (1, 7, 0.5), (1, 9, 0.3), (2, 3, 0.4)):
         domain = SearchDomain.from_values(tuple(range(n)))
@@ -288,6 +307,31 @@ def test_kernel_matches_reference_walk_on_random_formulas():
             table = {(a, b): rng.random() < density for a in rows for b in rows}
             f = Formula(arity, arity, lambda a, b, t=table: t[(a, b)])
             _same_as_reference(f, domain)
+
+
+def test_kernel_matches_reference_walk_on_profile_relations():
+    # rows and columns drawn from 2-4 profiles of a small base relation, so
+    # that many a-rows (b-rows) of one node share their b-rows (a-rows);
+    # a few flipped pairs make profiles agree only on some candidate sets
+    rng = random.Random(2014)
+    domain = SearchDomain.from_values(tuple(range(9)))
+    fewer = 0
+    for _ in range(40):
+        p, q = rng.randint(2, 4), rng.randint(2, 4)
+        base = [[rng.random() < 0.5 for _ in range(q)] for _ in range(p)]
+        row_class = [rng.randrange(p) for _ in domain.values]
+        col_class = [rng.randrange(q) for _ in domain.values]
+        table = {
+            (a, b): base[row_class[a]][col_class[b]]
+            for a in domain.values
+            for b in domain.values
+        }
+        for _ in range(rng.choice((0, 0, 2, 4))):
+            pair = (rng.randrange(9), rng.randrange(9))
+            table[pair] = not table[pair]
+        f = Formula(1, 1, lambda a, b, t=table: t[(a[0], b[0])])
+        fewer += _same_as_reference(f, domain)
+    assert fewer > 0
 
 
 def test_kernel_matches_reference_walk_on_word_formulas(z2z2, z2z3, z3s3):
@@ -316,7 +360,7 @@ def test_early_stop_evaluates_each_pair_at_most_once(z3s3):
 
     domain = ball_domain(z3s3, 3)
     result = max_ladder(Formula(1, 1, counted), domain, cutoff=3)
-    assert (result.index, result.cutoff_hit, result.nodes_explored) == (3, True, 23)
+    assert (result.index, result.cutoff_hit, result.nodes_explored) == (3, True, 8)
     assert max(calls.values()) == 1
     # the masks are filled only for the rows visited and their candidate
     # columns: 1,011 of the 98 x 98 = 9,604 pairs (the per-pair walk with a
@@ -334,3 +378,23 @@ def test_word_formula_keeps_evaluate_checks(z2z2, z2z3):
         holds((), (one,))
     with pytest.raises(ArityMismatch):
         holds((one,), (one, one))
+
+
+@pytest.mark.parametrize(
+    "text, nodes, evaluations",
+    [("x1 y1 x1 y1", 3, 1_089), ("x1 y1 x1^-1 y1^-1", 5, 1_482)],
+)
+def test_early_stop_evaluations_pinned(z3s3, text, nodes, evaluations):
+    # the walk fills a chosen b-row's column only when a child will read it,
+    # so an early stop evaluates exactly the pairs the unpruned walk did
+    calls = Counter()
+    base = word_formula(z3s3, parse_word(text))
+
+    def counted(a_row, b_row):
+        calls[(a_row, b_row)] += 1
+        return base.holds(a_row, b_row)
+
+    result = max_ladder(Formula(1, 1, counted), ball_domain(z3s3, 4), cutoff=3)
+    assert (result.index, result.cutoff_hit, result.nodes_explored) == (3, True, nodes)
+    assert max(calls.values()) == 1
+    assert sum(calls.values()) == evaluations

@@ -107,6 +107,18 @@ def test_unmaterializable_raises():
         ramsey_upper(16, 50)
 
 
+def test_target_past_float_range_stays_symbolic():
+    # lgamma takes a float; a 401-digit target must not overflow it
+    assert math.isinf(ramsey.digits_estimate(2, 10**400))
+    assert not ramsey.is_materializable(2, 10**400)
+    big = bv_ramsey(2, bv_exact(10**400))
+    assert isinstance(big, BRamsey)
+    assert sat_min(big, 8) == 8
+    with pytest.raises(BoundTooLarge) as exc:
+        ramsey_upper(2, 10**400)
+    assert "inf" not in str(exc.value)
+
+
 def test_ramsey_sat_matches_exact():
     for colors in (1, 2, 3, 4, 16):
         for target in (1, 2, 3, 4):

@@ -346,6 +346,15 @@ def test_cmd_ramsey(capsys):
     assert run(["ramsey", "--colors", "16", "--target", "50"]) == EXIT_RESOURCE
 
 
+def test_cmd_ramsey_target_past_float_range(capsys):
+    assert run(["ramsey", "--colors", "2", "--target", str(10**400)]) == EXIT_RESOURCE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: R(2,2,1000")
+    assert captured.err.count("\n") == 1
+    assert "inf" not in captured.err
+
+
 def test_report_determinism(z2z3):
     w = parse_word("x1 y1")
     r1 = run_verify(z2z3, w, 1)
