@@ -191,10 +191,6 @@ class FreeProduct:
         self._check_context(u)
         return self.from_fold(*self.fold([(u.letters, True)]))
 
-    def length(self, u: ReducedWord) -> int:
-        self._check_context(u)
-        return len(u.letters)
-
     # -- ball enumeration --------------------------------------------------
 
     def predicted_ball_size(self, radius: int) -> int:
@@ -237,11 +233,7 @@ class FreeProduct:
             level = nxt
         return Ball(radius, tuple(members))
 
-    # -- textual rendering -------------------------------------------------
-
-    def render(self, u: ReducedWord) -> str:
-        self._check_context(u)
-        return u.render()
+    # -- parsing -----------------------------------------------------------
 
     def parse_letters(self, text: str) -> list[tuple[int, int]]:
         """Raw (factor, elem) pairs from 'f0:1 f1:2' / 'f0:1·f1:2' / 'ε'."""

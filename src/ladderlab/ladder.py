@@ -317,7 +317,6 @@ def word_index(
     w: GroupWord,
     domain: SearchDomain,
     cutoff: int = DEFAULT_CUTOFF,
-    branch_cap: int = DEFAULT_BRANCH_CAP,
     threads: int = 1,
     negated: bool = False,
 ) -> IndexResult:
@@ -331,7 +330,7 @@ def word_index(
     """
     reduced, xs, ys = _renumber_by_position(w)
     formula = word_formula(context, reduced, negated=negated)
-    result = max_ladder(formula, domain, cutoff=cutoff, branch_cap=branch_cap)
+    result = max_ladder(formula, domain, cutoff=cutoff)
     if result.witness is None or (len(xs) == w.arity_x and len(ys) == w.arity_y):
         return result
     pad = domain.values[0]

@@ -34,12 +34,14 @@ from typing import Iterable
 from .errors import BoundTooLarge
 
 # Materialization thresholds: an exact integer is computed only when both the
-# digit count and the collapsed state space stay desk-sized.
-DIGITS_LIMIT = 6000
+# digit count and the collapsed state space stay desk-sized. A value has at
+# most floor(estimate) + 1 digits, so every materialized one stays within
+# CPython's 4,300-digit limit on int/str conversion.
+DIGITS_LIMIT = 4299
 STATES_LIMIT = 150_000
 
-# sat_min() runs the saturating recurrence; caps beyond this would make the
-# collapsed state space blow up again.
+# Every bound node carries min(value, SAT_CAP_LIMIT), from the saturating
+# recurrence; caps beyond this would make the collapsed state space blow up.
 SAT_CAP_LIMIT = 20_000
 
 _LOG10_E = math.log10(math.e)
@@ -170,21 +172,16 @@ def ramsey_sat(colors: int, target: int, cap: int) -> int:
     """min(R(colors, target), cap) for small caps."""
     if cap > SAT_CAP_LIMIT:
         raise ValueError(f"saturating evaluation is limited to caps <= {SAT_CAP_LIMIT}")
-    if target == 1:
-        return min(1, cap)
-    if colors == 1:
-        return min(target, cap)
-    if target == 2:
-        return min(2, cap)
     if target >= cap:
         return cap  # R >= target
-    if colors == 2:
-        return min(math.comb(2 * target - 2, target - 1), cap)
-    if target - 1 >= cap.bit_length():
-        return cap  # R >= R(2, target) >= 2^(target-1) >= cap
-    if colors >= _g_cutoff(cap):
-        return cap  # avoids building huge diagonal patterns
-    return min(_pattern_exact(tuple([target] * colors)), cap)
+    if colors >= 2 and target >= 3:
+        if target - 1 >= cap.bit_length() or colors >= _g_cutoff(cap):
+            return cap  # R >= R(2, target) >= 2^(target-1); R >= R(colors, 3)
+        # R grows with the target, so the first target that reaches cap decides
+        for t in range(3, target):
+            if ramsey_exact(colors, t) >= cap:
+                return cap
+    return min(ramsey_exact(colors, target), cap)
 
 
 # -- lazy bound values -------------------------------------------------------
@@ -199,9 +196,11 @@ class BoundValue:
     (class, fields), the fields being the subclass's ``__slots__`` in
     argument order; ``==`` and hashing are by identity. Subclasses define
     ``_structure``: the structural hash (ints only, so stable across
-    processes) and the sort key built from it."""
+    processes), the sort key built from it, and the saturation
+    min(value, SAT_CAP_LIMIT). Each is computed from the children's, which
+    exist before their parents, so no walk over the value is ever needed."""
 
-    __slots__ = ("_hash", "_key", "__weakref__")
+    __slots__ = ("_hash", "_key", "_sat", "__weakref__")
     kind = "abstract"
 
     def __new__(cls, *fields):
@@ -213,7 +212,7 @@ class BoundValue:
             node = object.__new__(cls)
             for name, value in zip(cls.__slots__, fields):
                 setattr(node, name, value)
-            node._hash, node._key = node._structure()
+            node._hash, node._key, node._sat = node._structure()
             _INTERNED[key] = node
         return node
 
@@ -242,7 +241,7 @@ class BExact(BoundValue):
         return super().__new__(cls, value)
 
     def _structure(self):
-        return hash((0, self.value)), (0, self.value, 0)
+        return hash((0, self.value)), (0, self.value, 0), min(self.value, SAT_CAP_LIMIT)
 
 
 class BSucc(BoundValue):
@@ -251,7 +250,7 @@ class BSucc(BoundValue):
 
     def _structure(self):
         h = hash((1, self.base._hash))
-        return h, (1, 0, h)
+        return h, (1, 0, h), min(self.base._sat + 1, SAT_CAP_LIMIT)
 
 
 class BMax(BoundValue):
@@ -260,7 +259,7 @@ class BMax(BoundValue):
 
     def _structure(self):
         h = hash((2,) + tuple(i._hash for i in self.items))
-        return h, (2, len(self.items), h)
+        return h, (2, len(self.items), h), max(i._sat for i in self.items)
 
 
 class BRamsey(BoundValue):
@@ -269,7 +268,8 @@ class BRamsey(BoundValue):
 
     def _structure(self):
         h = hash((3, self.colors, self.target._hash))
-        return h, (3, self.colors, h)
+        # the target's saturation is its exact value whenever it is below the cap
+        return h, (3, self.colors, h), ramsey_sat(self.colors, self.target._sat, SAT_CAP_LIMIT)
 
 
 def bv_exact(n: int) -> BExact:
@@ -312,16 +312,8 @@ def bv_max(items: Iterable[BoundValue]) -> BoundValue:
 def bv_ramsey(colors: int, target: BoundValue) -> BoundValue:
     if colors < 1:
         raise ValueError("colors must be >= 1")
-    if isinstance(target, BExact):
-        t = target.value
-        if t <= 1:
-            return BExact(1)
-        if t == 2:
-            return BExact(2)
-        if colors == 1:
-            return BExact(t)
-        if is_materializable(colors, t):
-            return BExact(ramsey_exact(colors, t))
+    if isinstance(target, BExact) and is_materializable(colors, target.value):
+        return BExact(ramsey_exact(colors, max(target.value, 1)))
     return BRamsey(colors, target)
 
 
@@ -364,23 +356,38 @@ class BoundPool:
         self.nodes: list[dict] = []
 
     def intern(self, v: BoundValue) -> int:
-        vid = self.ids.get(v)
-        if vid is not None:
-            return vid
-        if isinstance(v, BExact):
-            node = {"kind": "exact", "value": str(v.value)}
-        elif isinstance(v, BSucc):
-            node = {"kind": "succ", "of": self.intern(v.base)}
-        elif isinstance(v, BMax):
-            node = {"kind": "max", "of": [self.intern(i) for i in v.items]}
-        elif isinstance(v, BRamsey):
-            node = {"kind": "ramsey", "colors": v.colors, "target": self.intern(v.target)}
-        else:
-            raise TypeError(f"not a bound value: {v!r}")
-        vid = len(self.nodes)
-        self.nodes.append(node)
-        self.ids[v] = vid
-        return vid
+        """The id of ``v``, writing its unwritten descendants first. Walks an
+        explicit stack, so depth costs no recursion; ids come in the order of
+        a recursive walk that writes children left to right, then the node."""
+        ids = self.ids
+        stack = [v]
+        while stack:
+            node = stack[-1]
+            if node in ids:
+                stack.pop()
+                continue
+            if isinstance(node, BExact):
+                children = ()
+                entry = {"kind": "exact", "value": str(node.value)}
+            elif isinstance(node, BSucc):
+                children = (node.base,)
+                entry = {"kind": "succ", "of": ids.get(node.base)}
+            elif isinstance(node, BMax):
+                children = node.items
+                entry = {"kind": "max", "of": [ids.get(i) for i in node.items]}
+            elif isinstance(node, BRamsey):
+                children = (node.target,)
+                entry = {"kind": "ramsey", "colors": node.colors, "target": ids.get(node.target)}
+            else:
+                raise TypeError(f"not a bound value: {node!r}")
+            missing = [c for c in children if c not in ids]
+            if missing:  # the entry is built again once they are written
+                stack += reversed(missing)  # the first child is written first
+                continue
+            stack.pop()
+            ids[node] = len(self.nodes)
+            self.nodes.append(entry)
+        return ids[v]
 
 
 def pool_to_values(nodes: list[dict]) -> list[BoundValue]:
@@ -421,8 +428,8 @@ def bound_from_json(doc: dict) -> BoundValue:
 
 # -- comparisons --------------------------------------------------------------
 # Values share subtrees, so each public comparison memoizes its walk in a dict
-# that lives for the one call: keys ("sat", v, cap), ("ge", v, n), ("up", v)
-# and ("le", x, y).
+# that lives for the one call: keys ("ge", v, n), ("up", v) and ("le", x, y).
+# Up to SAT_CAP_LIMIT no walk is needed: every node carries min(v, the limit).
 
 
 def sat_min(v: BoundValue, cap: int) -> int:
@@ -431,35 +438,15 @@ def sat_min(v: BoundValue, cap: int) -> int:
         raise ValueError("cap must be >= 0")
     if cap > SAT_CAP_LIMIT:
         raise ValueError(f"sat_min is limited to caps <= {SAT_CAP_LIMIT}")
-    return _sat_min(v, cap, {})
-
-
-def _sat_min(v: BoundValue, cap: int, memo: dict) -> int:
-    key = ("sat", v, cap)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    if isinstance(v, BExact):
-        result = min(v.value, cap)
-    elif isinstance(v, BSucc):
-        result = min(_sat_min(v.base, cap, memo) + 1, cap)
-    elif isinstance(v, BMax):
-        result = max(_sat_min(i, cap, memo) for i in v.items)
-    elif isinstance(v, BRamsey):
-        ts = _sat_min(v.target, cap, memo)
-        if ts >= cap:
-            result = cap  # R >= target
-        else:
-            result = ramsey_sat(v.colors, ts, cap)
-    else:
-        raise TypeError(f"not a bound value: {v!r}")
-    memo[key] = result
-    return result
+    return min(v._sat, cap)
 
 
 def _bridge_target(n: int) -> int:
     """Some K with C(2K-2, K-1) >= n (so R(2, K) >= n)."""
-    k = max(2, (len(str(n)) * 5) // 3)
+    digits = int(n.bit_length() * math.log10(2)) + 1  # n has this many or one fewer
+    if n < 10 ** (digits - 1):
+        digits -= 1
+    k = max(2, (digits * 5) // 3)
     while math.comb(2 * k - 2, k - 1) < n:
         k *= 2
     return k
@@ -471,10 +458,8 @@ def is_ge_int(v: BoundValue, n: int) -> bool | None:
 
 
 def _is_ge_int(v: BoundValue, n: int, memo: dict) -> bool | None:
-    if n <= 0:
-        return True
     if n <= SAT_CAP_LIMIT:
-        return _sat_min(v, n, memo) == n
+        return v._sat >= n
     key = ("ge", v, n)
     if key in memo:
         return memo[key]

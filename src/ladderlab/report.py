@@ -10,7 +10,7 @@ from typing import Mapping, Sequence
 
 from .bounds import BoundCertificate, theorem_bound
 from .freeproduct import FreeProduct
-from .ladder import DEFAULT_BRANCH_CAP, IndexResult, Ladder, SearchDomain, word_index
+from .ladder import IndexResult, Ladder, SearchDomain, word_index
 from .ramsey import SAT_CAP_LIMIT, bound_to_json, bv_exact, is_ge_int, sat_min
 from .words import GroupWord, render_word
 
@@ -176,8 +176,7 @@ def decide_verdict(
     if bound_ge_observed is False:
         return VERDICT_VIOLATION
     if bound_ge_observed is True and not result.cutoff_hit:
-        bound_le_cutoff = is_ge_int(bound, cutoff + 1) is False
-        if result.index < cutoff or bound_le_cutoff:
+        if result.index < cutoff or is_ge_int(bound, cutoff + 1) is False:
             return VERDICT_VERIFIED
     return VERDICT_INCONCLUSIVE
 
@@ -188,7 +187,6 @@ def run_verify(
     radius: int,
     cutoff: int = 8,
     ball_cap: int | None = None,
-    branch_cap: int = DEFAULT_BRANCH_CAP,
     threads: int = 1,
     force_bound: int | None = None,
 ) -> VerificationReport:
@@ -232,7 +230,6 @@ def run_verify(
         word,
         domain,
         cutoff=effective_cutoff,
-        branch_cap=branch_cap,
     )
     timings["search"] = time.perf_counter() - t0
 

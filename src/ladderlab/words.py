@@ -160,31 +160,31 @@ class _Parser:
             raise self.error("expected '^-1'")
         return False
 
-    def parse_item(self) -> list[Syllable]:
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            inner = self.parse_word(stop_at_paren=True)
-            if self.peek() != ")":
-                raise self.error("unbalanced parenthesis")
-            self.pos += 1
-            syllables = list(inner)
-        elif ch in ("x", "y"):
-            syllables = [Syllable(self.parse_var(), 1)]
-        else:
-            raise self.error(f"unexpected character {ch!r}")
-        if self.parse_inverse_marker():
-            syllables = [s.inverse() for s in reversed(syllables)]
-        return syllables
-
-    def parse_word(self, stop_at_paren: bool = False) -> list[Syllable]:
-        out: list[Syllable] = []
+    def parse_word(self) -> list[Syllable]:
+        """The syllables of the whole text. Open groups wait on an explicit
+        stack, so nesting depth costs no recursion."""
+        groups: list[list[Syllable]] = [[]]  # the word, then each open "(" group
         while True:
             self.skip_ws()
             ch = self.peek()
-            if not ch or (stop_at_paren and ch == ")"):
-                return out
-            out.extend(self.parse_item())
+            if ch == "(":
+                self.pos += 1
+                groups.append([])
+                continue
+            if ch == ")" and len(groups) > 1:
+                self.pos += 1
+                syllables = groups.pop()
+            elif ch in ("x", "y"):
+                syllables = [Syllable(self.parse_var(), 1)]
+            elif ch:
+                raise self.error(f"unexpected character {ch!r}")
+            elif len(groups) > 1:
+                raise self.error("unbalanced parenthesis")
+            else:
+                return groups[0]
+            if self.parse_inverse_marker():
+                syllables = [s.inverse() for s in reversed(syllables)]
+            groups[-1].extend(syllables)
 
 
 def parse_word(text: str) -> GroupWord:

@@ -133,6 +133,59 @@ def test_ramsey_sat_saturates_huge():
     assert ramsey_sat(64, 10_000, 9) == 9
 
 
+def test_ramsey_sat_walks_targets_up_from_three(monkeypatch):
+    # R grows with the target, so R(7, 4) >= 20,000 settles R(7, 15) without
+    # building the pattern of seven 15s
+    seen = []
+    inner = ramsey._pattern_exact
+
+    def spy(pattern):
+        seen.append(max(pattern))
+        return inner(pattern)
+
+    monkeypatch.setattr(ramsey, "_pattern_exact", spy)
+    assert ramsey_sat(7, 15, 20_000) == 20_000
+    assert seen and max(seen) <= 4
+
+
+def test_materialized_values_convert_to_str():
+    # a value has at most floor(digits_estimate) + 1 digits, and CPython
+    # refuses str() past 4,300 of them
+    assert len(str(bv_ramsey(2, bv_exact(7000)).value)) == 4212
+    for colors in (2, 3):
+        t = 3
+        while ramsey.is_materializable(colors, t + 1):
+            t += 1
+        assert len(str(ramsey_exact(colors, t))) <= 4300
+    big = bv_ramsey(2, bv_exact(7200))
+    assert isinstance(big, BRamsey)
+    assert render_bound(big) == "R(2,2,7200)"
+    assert bound_from_json(bound_to_json(big)) is big
+
+
+def test_le_bound_past_the_str_digit_limit():
+    # upper_int of the left side has about 7,160 digits; comparing it with
+    # the right side counts them without str()
+    x = bv_succ(bv_ramsey(3, bv_exact(5000)))
+    assert le_bound(x, bv_ramsey(5, bv_exact(10**7))) is True
+
+
+def test_deep_values_carry_their_saturation():
+    # every node holds min(value, SAT_CAP_LIMIT) from construction, so a
+    # 5,000-level chain is answered without a walk
+    v, value = BRamsey(2, BExact(3)), 6
+    for i in range(5000):
+        if i % 2:
+            v, value = BMax((v, BExact(i))), max(value, i)
+        else:
+            v, value = BSucc(v), value + 1
+    for cap in (0, 8, value - 1, value, ramsey.SAT_CAP_LIMIT):
+        assert sat_min(v, cap) == min(value, cap)
+    assert is_ge_int(v, value) is True
+    assert is_ge_int(v, value + 1) is False
+    assert bound_from_json(bound_to_json(v)) is v
+
+
 def test_bv_constructors_normalize():
     assert bv_succ(bv_exact(3)) == bv_exact(4)
     assert bv_max([bv_exact(1), bv_exact(5), bv_exact(2)]) == bv_exact(5)

@@ -355,6 +355,34 @@ def test_cmd_ramsey_target_past_float_range(capsys):
     assert "inf" not in captured.err
 
 
+def test_cmd_ramsey_past_the_str_digit_limit(capsys):
+    # R(2, 7000) has 4,212 digits; R(2, 7200) would pass CPython's 4,300
+    assert run(["ramsey", "--colors", "2", "--target", "7000"]) == EXIT_OK
+    assert len(capsys.readouterr().out.strip()) == 4212
+    assert run(["ramsey", "--colors", "2", "--target", "7200"]) == EXIT_RESOURCE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: R(2,2,7200) is ~10^")
+    assert captured.err.count("\n") == 1
+
+
+def test_cmd_bound_deeply_parenthesized_word(spec_files, capsys):
+    groups = ["--groups", spec_files["z2"], spec_files["z2"]]
+    assert run(["bound", "--word", "x1 y1", "--radius", "1"] + groups) == EXIT_OK
+    plain = capsys.readouterr().out
+    word = "(" * 1000 + "x1 y1" + ")" * 1000
+    assert run(["bound", "--word", word, "--radius", "1"] + groups) == EXIT_OK
+    assert capsys.readouterr().out == plain
+
+
+def test_cmd_verify_bound_nested_past_recursion_limit(spec_files, capsys):
+    # at r = 90 the bound nests past the interpreter's recursion limit; the
+    # verify path reads saturations and serializes without recursion
+    groups = ["--groups", spec_files["z2"], spec_files["z2"]]
+    assert run(["verify", "--word", "x1 y1", "--radius", "90"] + groups) == EXIT_OK
+    assert "VERIFIED" in capsys.readouterr().out
+
+
 def test_report_determinism(z2z3):
     w = parse_word("x1 y1")
     r1 = run_verify(z2z3, w, 1)
@@ -535,12 +563,13 @@ def test_check_cert_deep_bound_exits_cleanly(capsys, tmp_path, fmt):
 
 
 def test_recursion_error_maps_to_exit_3(capsys, tmp_path, monkeypatch):
-    from ladderlab import BoundCertificate, cli, sat_min
+    from ladderlab import BoundCertificate, cli
+    from ladderlab.ramsey import upper_int
 
     deep = BoundCertificate.from_json(deep_certificate())
     with pytest.raises(RecursionError):
-        sat_min(deep.bound, 8)
-    monkeypatch.setattr(cli, "check_certificate", lambda cert: sat_min(cert.bound, 8))
+        upper_int(deep.bound)
+    monkeypatch.setattr(cli, "check_certificate", lambda cert: upper_int(cert.bound))
     path = tmp_path / "deep.json"
     path.write_text(json.dumps(deep_certificate()), encoding="utf-8")
     assert run(["check-cert", str(path)]) == EXIT_RESOURCE

@@ -77,6 +77,30 @@ def test_parse_errors():
         parse_word("x1 y1@0")  # mixed annotation
 
 
+def test_parse_deep_parentheses():
+    # open groups wait on an explicit stack, so depth costs no recursion
+    assert parse_word("(" * 5000 + "x1 y1" + ")" * 5000) == parse_word("x1 y1")
+
+
+def test_parse_nested_inverses():
+    # each "(...)^-1" level inverts the word inside it
+    for depth in (1, 2, 3, 501, 502):
+        text = "x1 y2^-1"
+        for _ in range(depth):
+            text = f"({text})^-1"
+        expected = "y2 x1^-1" if depth % 2 else "x1 y2^-1"
+        assert parse_word(text) == parse_word(expected)
+
+
+def test_parse_unbalanced_positions():
+    for text, message in (("((x1)", "unbalanced parenthesis (at position 6)"),
+                          ("(x1))", "unexpected character ')' (at position 5)"),
+                          ("(x1) ^-1", "unexpected character '^' (at position 6)")):
+        with pytest.raises(WordParseError) as exc:
+            parse_word(text)
+        assert str(exc.value) == message
+
+
 def test_parse_empty():
     w = parse_word("")
     assert len(w) == 0
