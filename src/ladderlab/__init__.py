@@ -23,7 +23,6 @@ from .errors import (
     BoundTooLarge,
     ContextMismatch,
     DomainTooLarge,
-    FactorMismatch,
     InfiniteFactor,
     InvalidElement,
     LadderLabError,
@@ -71,7 +70,6 @@ from .words import (
     change_of_variables,
     concat_words,
     evaluate,
-    evaluate_in_factor,
     evaluate_in_group,
     expand_assignment,
     interpret_in_template,

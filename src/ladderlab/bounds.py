@@ -48,6 +48,7 @@ from .words import (
     change_of_variables,
     parse_word,
     render_word,
+    template_length,
     word_shape,
 )
 
@@ -440,11 +441,16 @@ def _walk_certificate(cert: BoundCertificate, check: bool) -> BoundValue:
     if subranges is None:
         raise ValueError(f"unknown certificate format {cert.format!r}")
     if check:
+        rewritten = parse_word(cert.rewritten)
         if cert.radius is not None and cert.num_factors is not None:
-            derived = change_of_variables(parse_word(cert.word), cert.radius, cert.num_factors)
-            if render_word(derived) != cert.rewritten:
+            word = parse_word(cert.word)
+            # lengths first, so a forged header cannot make a huge template
+            t = template_length(cert.radius, cert.num_factors)
+            if len(word) * t != len(rewritten) or render_word(
+                change_of_variables(word, cert.radius, cert.num_factors)
+            ) != cert.rewritten:
                 raise ValueError("the rewritten word is not the word's change of variables")
-        decomp = block_decompose(parse_word(cert.rewritten))
+        decomp = block_decompose(rewritten)
         if decomp.ell != cert.ell:
             raise ValueError(f"the rewritten word does not have {cert.ell} blocks")
     if cert.root is None:  # the empty word

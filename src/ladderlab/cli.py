@@ -211,12 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
             )
         p.add_argument("--json", action="store_true", help="emit a JSON document")
         p.add_argument("--csv", action="store_true", help="emit flat CSV rows")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="accepted and ignored: the ladder search is single-threaded",
-        )
         if cap:
             p.add_argument(
                 "--cap",

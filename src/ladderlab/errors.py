@@ -19,10 +19,6 @@ class AxiomViolation(LadderLabError):
         self.witness = witness
 
 
-class FactorMismatch(LadderLabError):
-    """Two factor elements from different factors were combined."""
-
-
 class InfiniteFactor(LadderLabError):
     """An element-level operation was requested on an infinite stub factor."""
 

@@ -29,15 +29,8 @@ LETTER_SEPARATOR = "·"  # ·
 _LETTER_RE = re.compile(r"^f(\d+):(\d+)$")
 
 
-@dataclass(frozen=True)
-class Letter:
-    """A single non-identity factor element inside a normal form."""
-
-    factor: int
-    elem: int
-
-    def render(self) -> str:
-        return f"f{self.factor}:{self.elem}"
+# a letter of a normal form is a non-identity factor element
+Letter = FactorElement
 
 
 @dataclass(frozen=True)
@@ -60,9 +53,6 @@ class ReducedWord:
     def inverse(self) -> "ReducedWord":
         return self.context.invert(self)
 
-    def __invert__(self) -> "ReducedWord":
-        return self.inverse()
-
     def sort_key(self) -> tuple:
         return (len(self.letters), tuple((l.factor, l.elem) for l in self.letters))
 
@@ -84,9 +74,6 @@ class Ball:
 
     def __iter__(self) -> Iterator[ReducedWord]:
         return iter(self.members)
-
-    def __contains__(self, w: object) -> bool:
-        return w in self.members
 
 
 class FreeProduct:

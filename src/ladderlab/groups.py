@@ -9,13 +9,12 @@ stability indices instead of a table.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .errors import (
     AxiomViolation,
-    FactorMismatch,
     InfiniteFactor,
     InvalidElement,
     SpecParseError,
@@ -28,7 +27,8 @@ SPEC_KINDS = ("table", "perm-gens", "cyclic", "infinite-stub")
 
 @dataclass(frozen=True)
 class FactorElement:
-    """An element of one factor group, identified by (factor id, element index)."""
+    """An element of one factor group, identified by (factor id, element index).
+    The letters of a free-product normal form are the non-identity ones."""
 
     factor: FactorId
     elem: int
@@ -80,40 +80,10 @@ class FactorGroup:
         self._require_finite()
         return [FactorElement(self.id, e) for e in range(self.order)]  # type: ignore[arg-type]
 
-    def elem_mul(self, g: FactorElement, h: FactorElement) -> FactorElement:
-        if g.factor != h.factor:
-            raise FactorMismatch(
-                f"cannot multiply elements of factors {g.factor} and {h.factor}"
-            )
-        if g.factor != self.id:
-            raise FactorMismatch(
-                f"elements belong to factor {g.factor}, not factor {self.id}"
-            )
-        self.check_elem(g.elem)
-        self.check_elem(h.elem)
-        return FactorElement(self.id, self.mul(g.elem, h.elem))
-
-    def elem_inv(self, g: FactorElement) -> FactorElement:
-        if g.factor != self.id:
-            raise FactorMismatch(
-                f"element belongs to factor {g.factor}, not factor {self.id}"
-            )
-        self.check_elem(g.elem)
-        return FactorElement(self.id, self.inv(g.elem))
-
     def with_id(self, new_id: FactorId) -> "FactorGroup":
         if new_id == self.id:
             return self
-        return FactorGroup(
-            id=new_id,
-            name=self.name,
-            order=self.order,
-            table=self.table,
-            identity=self.identity,
-            declared_infinite=self.declared_infinite,
-            supplied_indices=self.supplied_indices,
-            inverses=self.inverses,
-        )
+        return replace(self, id=new_id)
 
 
 def _validate_table(
@@ -180,7 +150,7 @@ def _close_perm_generators(gens: Sequence[Sequence[int]]) -> list[tuple[int, ...
     degree = len(gens[0])
     norm_gens = []
     for g in gens:
-        if sorted(g) != list(range(degree)):
+        if not all(isinstance(x, int) for x in g) or sorted(g) != list(range(degree)):
             raise SpecParseError(f"generator {g!r} is not a permutation of 0..{degree - 1}")
         norm_gens.append(tuple(int(x) for x in g))
     identity = tuple(range(degree))
@@ -265,7 +235,7 @@ def load_group(source, index: FactorId = 0) -> FactorGroup:
     elif kind == "table":
         order = _require_order(doc)
         table = doc.get("table")
-        if not isinstance(table, list):
+        if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
             raise SpecParseError("'table' must be a list of rows")
     else:  # perm-gens
         gens = doc.get("generators")

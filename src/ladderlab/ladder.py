@@ -173,7 +173,6 @@ def max_ladder(
     domain: SearchDomain,
     cutoff: int = DEFAULT_CUTOFF,
     branch_cap: int = DEFAULT_BRANCH_CAP,
-    threads: int = 1,
     a_domains: Sequence[SearchDomain] | None = None,
     b_domains: Sequence[SearchDomain] | None = None,
 ) -> IndexResult:
@@ -187,7 +186,6 @@ def max_ladder(
     walk; subtrees that cannot beat the best ladder, or that repeat a walked
     one, are skipped, so the index, witness and ``cutoff_hit`` are those of
     the full walk and no pair is evaluated that it would not evaluate.
-    ``threads`` is accepted and ignored.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
@@ -326,7 +324,8 @@ def word_index(
     the used coordinates and pads back), so the search runs on the
     position-renumbered word and the witness is padded back to the original
     arity with the least domain value, keeping it the lexicographically
-    least maximal ladder. ``threads`` is accepted and ignored.
+    least maximal ladder. ``threads`` is ignored; it stays only for the
+    benchmark worker's ``threads=1``.
     """
     reduced, xs, ys = _renumber_by_position(w)
     formula = word_formula(context, reduced, negated=negated)

@@ -8,10 +8,10 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
-from .bounds import BoundCertificate, theorem_bound
+from .bounds import theorem_bound
 from .freeproduct import FreeProduct
-from .ladder import IndexResult, Ladder, SearchDomain, word_index
-from .ramsey import SAT_CAP_LIMIT, bound_to_json, bv_exact, is_ge_int, sat_min
+from .ladder import Ladder, SearchDomain, word_index
+from .ramsey import SAT_CAP_LIMIT, bound_to_json, bv_exact, sat_min
 from .words import GroupWord, render_word
 
 VERDICT_VERIFIED = "VERIFIED"
@@ -168,19 +168,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def decide_verdict(
-    bound_cert: BoundCertificate, result: IndexResult, cutoff: int
-) -> str:
-    bound = bound_cert.bound
-    bound_ge_observed = is_ge_int(bound, result.index)
-    if bound_ge_observed is False:
-        return VERDICT_VIOLATION
-    if bound_ge_observed is True and not result.cutoff_hit:
-        if result.index < cutoff or is_ge_int(bound, cutoff + 1) is False:
-            return VERDICT_VERIFIED
-    return VERDICT_INCONCLUSIVE
-
-
 def run_verify(
     context: FreeProduct,
     word: GroupWord,
@@ -194,7 +181,7 @@ def run_verify(
 
     ``force_bound`` is a fault-injection hook for exercising the VIOLATION
     path; it replaces the certified bound after computation. ``threads`` is
-    accepted and ignored: the search is single-threaded.
+    ignored; it stays only for the benchmark worker's ``threads=1``.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
@@ -233,7 +220,14 @@ def run_verify(
     )
     timings["search"] = time.perf_counter() - t0
 
-    verdict = decide_verdict(cert, result, effective_cutoff)
+    # index <= effective_cutoff <= SAT_CAP_LIMIT, so sat_min compares exactly;
+    # word_index sets cutoff_hit whenever the index reaches the cutoff
+    if sat_min(cert.bound, result.index) < result.index:
+        verdict = VERDICT_VIOLATION
+    elif result.cutoff_hit:
+        verdict = VERDICT_INCONCLUSIVE
+    else:
+        verdict = VERDICT_VERIFIED
     return VerificationReport(
         config_digest=digest,
         word=render_word(word),

@@ -204,11 +204,6 @@ def render_word(w: GroupWord) -> str:
 # -- evaluation ---------------------------------------------------------------
 
 
-def _lookup(sym: VariableSymbol, a_values: Sequence, b_values: Sequence):
-    values = a_values if sym.tuple_name == "x" else b_values
-    return values[sym.position - 1]
-
-
 def _runs(
     context: FreeProduct,
     w: GroupWord,
@@ -264,28 +259,12 @@ def evaluate_in_group(
         )
     result = group.identity
     for s in w.syllables:
-        e = _lookup(s.symbol, a_elems, b_elems)
+        sym = s.symbol
+        e = (a_elems if sym.tuple_name == "x" else b_elems)[sym.position - 1]
         if s.exponent < 0:
             e = group.inv(e)
         result = group.mul(result, e)
     return result
-
-
-def evaluate_in_factor(
-    group: FactorGroup,
-    block: GroupWord,
-    a_elems: Sequence[int],
-    b_elems: Sequence[int],
-) -> FactorElement:
-    """Value of an annotated single-factor block inside its factor group."""
-    if not block.syllables:
-        raise AnnotationMismatch("empty block has no factor")
-    for s in block.syllables:
-        if s.symbol.annotation != group.id:
-            raise AnnotationMismatch(
-                f"syllable {s.render()!r} is not annotated with factor {group.id}"
-            )
-    return FactorElement(group.id, evaluate_in_group(group, block, a_elems, b_elems))
 
 
 # -- change of variables -------------------------------------------------------
@@ -399,7 +378,7 @@ def interpret_in_template(z: ReducedWord, r: int, k: int) -> tuple[FactorElement
             raise LengthExceedsRadius(
                 f"could not place {letter.render()} into the template"
             )
-        slots[cursor] = FactorElement(letter.factor, letter.elem)
+        slots[cursor] = letter
         cursor += 1
     return tuple(slots)
 

@@ -7,8 +7,6 @@ import pytest
 
 from ladderlab import (
     AxiomViolation,
-    FactorElement,
-    FactorMismatch,
     InfiniteFactor,
     SpecParseError,
     load_group,
@@ -81,15 +79,6 @@ def test_inverses_two_sided(s3):
     for a in range(s3.order):
         assert s3.mul(a, s3.inv(a)) == s3.identity
         assert s3.mul(s3.inv(a), a) == s3.identity
-
-
-def test_elem_mul_and_mismatch(z3):
-    a = FactorElement(0, 1)
-    b = FactorElement(0, 2)
-    assert z3.elem_mul(a, b) == FactorElement(0, 0)
-    assert z3.elem_inv(a) == FactorElement(0, 2)
-    with pytest.raises(FactorMismatch):
-        z3.elem_mul(a, FactorElement(1, 0))
 
 
 def test_nonassociative_table_rejected():

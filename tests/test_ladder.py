@@ -122,18 +122,6 @@ def test_domain_monotonicity(z2z2):
     assert large.index >= small.index
 
 
-def test_thread_determinism(z2z3):
-    w = parse_word("x1 y1 x1^-1 y1^-1")
-    sequential = max_ladder(word_formula(z2z3, w), ball_domain(z2z3, 2), cutoff=8)
-    threaded = max_ladder(
-        word_formula(z2z3, w), ball_domain(z2z3, 2), cutoff=8, threads=4
-    )
-    assert threaded.index == sequential.index
-    assert threaded.witness == sequential.witness
-    if not sequential.cutoff_hit:
-        assert threaded.nodes_explored == sequential.nodes_explored
-
-
 def test_witness_is_lex_least(z2z2):
     # enumerate all maximal ladders by brute force; the witness must be the
     # lexicographically least under the interleaved domain-index order

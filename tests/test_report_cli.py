@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import jsonschema
@@ -340,6 +341,25 @@ def test_cmd_bound_over_stub_spec(capsys):
     assert json.loads(capsys.readouterr().out)["ell"] == 4
 
 
+def test_cmd_verify_ill_typed_generator_exits_2(spec_files, capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"kind": "perm-gens", "generators": [[0, "a"]]}), encoding="utf-8")
+    code = run(["verify", "--word", "x1 y1", "--radius", "1",
+                "--groups", str(path), spec_files["z2"]])
+    assert code == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: generator [0, 'a'] is not a permutation")
+    assert len(err.splitlines()) == 1
+
+
+def test_cmd_ball_table_rows_not_lists_exits_2(spec_files, capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"kind": "table", "order": 2, "table": [1, 2]}), encoding="utf-8")
+    code = run(["ball", "--radius", "1", "--groups", str(path), spec_files["z2"]])
+    assert code == EXIT_PARSE
+    assert capsys.readouterr().err == "error: 'table' must be a list of rows\n"
+
+
 def test_cmd_ramsey(capsys):
     assert run(["ramsey", "--colors", "2", "--target", "3"]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "6"
@@ -415,42 +435,13 @@ def test_cli_index_requires_exactly_one_domain(spec_files, capsys):
     assert exc.value.code == 2
 
 
-def test_cmd_verify_threads(spec_files, capsys):
-    code = run(
-        [
-            "verify",
-            "--word",
-            "x1 y1 x1^-1 y1^-1",
-            "--radius",
-            "2",
-            "--threads",
-            "4",
-            "--groups",
-            spec_files["z2"],
-            spec_files["z3"],
-            "--json",
-        ]
-    )
-    assert code == EXIT_OK
-    threaded = json.loads(capsys.readouterr().out)
-    code = run(
-        [
-            "verify",
-            "--word",
-            "x1 y1 x1^-1 y1^-1",
-            "--radius",
-            "2",
-            "--groups",
-            spec_files["z2"],
-            spec_files["z3"],
-            "--json",
-        ]
-    )
-    assert code == EXIT_OK
-    sequential = json.loads(capsys.readouterr().out)
-    assert threaded["observed_index"] == sequential["observed_index"]
-    assert threaded["witness"] == sequential["witness"]
-    assert threaded["verdict"] == sequential["verdict"]
+def test_cmd_verify_rejects_threads(spec_files, capsys):
+    # the search is single-threaded and the CLI has no --threads option
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--word", "x1 y1", "--radius", "1", "--threads", "4",
+             "--groups", spec_files["z2"], spec_files["z3"]])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_cmd_ramsey_json(capsys):
@@ -462,6 +453,7 @@ def test_cmd_ramsey_json(capsys):
 # -- check-cert ----------------------------------------------------------------
 
 V1_FIXTURE = Path(__file__).parent / "data" / "certificate_v1_z2z2_x1y1_r1.json"
+V2_FIXTURE = Path(__file__).parent / "data" / "certificate_v2_z2z2_x1y1_r1.json"
 
 
 def write_bound(spec_files, capsys, path, word="x1 y1", radius="1"):
@@ -535,6 +527,23 @@ def test_check_cert_malformed_files_exit_2(capsys, tmp_path):
     path.write_text("{", encoding="utf-8")
     assert run(["check-cert", str(path)]) == EXIT_PARSE
     assert run(["check-cert", str(tmp_path / "absent.json")]) == EXIT_PARSE
+
+
+def test_check_cert_compares_lengths_before_building_the_template(capsys, tmp_path):
+    from ladderlab import BoundCertificate, check_certificate
+
+    # an honest certificate whose header claims 3,000,000 factors: the
+    # template would have 3,000,000 slots per variable
+    doc = json.loads(V2_FIXTURE.read_text(encoding="utf-8"))
+    doc["num_factors"] = 3_000_000
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="not the word's change of variables"):
+        check_certificate(BoundCertificate.from_json(doc))
+    assert time.perf_counter() - start < 2.0
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["check-cert", str(path)]) == EXIT_PARSE
+    assert "not the word's change of variables" in capsys.readouterr().out
 
 
 def deep_certificate(levels=2000) -> dict:

@@ -18,7 +18,7 @@ from ladderlab import (
     change_of_variables,
     concat_words,
     evaluate,
-    evaluate_in_factor,
+    evaluate_in_group,
     expand_assignment,
     interpret_in_template,
     parse_word,
@@ -174,16 +174,7 @@ def test_evaluate_arity_mismatch(z2z2):
         evaluate(z2z2, w, (), (z2z2.identity,))
 
 
-def test_evaluate_in_factor(z2):
-    block = parse_word("x1@0 x1@0")
-    assert evaluate_in_factor(z2, block, [1], []).elem == 0
-    with pytest.raises(AnnotationMismatch):
-        evaluate_in_factor(z2, parse_word(""), [], [])
-    with pytest.raises(AnnotationMismatch):
-        evaluate_in_factor(z2, parse_word("x1@1"), [1], [])
-
-
-def test_evaluate_in_factor_agrees_with_free_product(z2z3):
+def test_evaluate_in_group_agrees_with_free_product(z2z3):
     # a single-factor block evaluates to the same letter in the free product
     rng = random.Random(9)
     block = parse_word("x1@1 y1@1 x2@1^-1")
@@ -191,7 +182,7 @@ def test_evaluate_in_factor_agrees_with_free_product(z2z3):
     for _ in range(100):
         a = [rng.randrange(3), rng.randrange(3)]
         b = [rng.randrange(3)]
-        fe = evaluate_in_factor(factor, block, a, b)
+        fe = factor.elements()[evaluate_in_group(factor, block, a, b)]
         words_a = tuple(z2z3.letter(1, e) for e in a)
         words_b = tuple(z2z3.letter(1, e) for e in b)
         expected = evaluate(z2z3, block, words_a, words_b)
