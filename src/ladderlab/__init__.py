@@ -23,6 +23,7 @@ from .errors import (
     BoundTooLarge,
     ContextMismatch,
     DomainTooLarge,
+    FactorTooLarge,
     InfiniteFactor,
     InvalidElement,
     LadderLabError,

@@ -352,7 +352,7 @@ def _derive_trace(
 def lemma_bound(
     decomp: BlockDecomposition,
     base: BaseOracle,
-    factors: Sequence[FactorGroup] | None = None,
+    factors: Sequence[FactorGroup],
     word_text: str | None = None,
     radius: int | None = None,
 ) -> BoundCertificate:
@@ -365,8 +365,6 @@ def lemma_bound(
     for a, b in zip(decomp.blocks, decomp.blocks[1:]):
         if a.factor == b.factor:
             raise AnnotationMismatch("adjacent blocks must alternate factors")
-    if factors is None:
-        raise ValueError(f"no factor group supplied for annotation {decomp.blocks[0].factor}")
     factor_map = {f.id: f for f in factors}
 
     indices = []

@@ -20,6 +20,7 @@ from .errors import (
     BallTooLarge,
     BoundTooLarge,
     DomainTooLarge,
+    FactorTooLarge,
     LadderLabError,
 )
 from .freeproduct import DEFAULT_BALL_CAP, FreeProduct
@@ -35,7 +36,7 @@ from .report import (
 )
 from .words import parse_word
 
-RESOURCE_ERRORS = (BallTooLarge, DomainTooLarge, BoundTooLarge)
+RESOURCE_ERRORS = (BallTooLarge, DomainTooLarge, BoundTooLarge, FactorTooLarge)
 
 
 def _load_context(paths: list[str]) -> FreeProduct:
@@ -288,10 +289,7 @@ def main(argv=None) -> int:
     except RESOURCE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except LadderLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (LadderLabError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except RecursionError:

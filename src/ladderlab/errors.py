@@ -83,5 +83,9 @@ class MissingSuppliedIndex(LadderLabError):
     """An infinite stub factor has no supplied index for a queried word shape."""
 
 
+class FactorTooLarge(LadderLabError):
+    """A factor's order exceeds ``groups.MAX_FACTOR_ORDER``."""
+
+
 class BoundTooLarge(LadderLabError):
     """An exact integer was requested for a bound too large to materialize."""

@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 
 from .errors import (
     AxiomViolation,
+    FactorTooLarge,
     InfiniteFactor,
     InvalidElement,
     SpecParseError,
@@ -23,6 +24,9 @@ from .errors import (
 FactorId = int
 
 SPEC_KINDS = ("table", "perm-gens", "cyclic", "infinite-stub")
+
+# Loading checks the axioms in O(order^3), so larger factors are refused.
+MAX_FACTOR_ORDER = 256
 
 
 @dataclass(frozen=True)
@@ -162,6 +166,8 @@ def _close_perm_generators(gens: Sequence[Sequence[int]]) -> list[tuple[int, ...
         for g in norm_gens:
             q = compose_perms(p, g)
             if q not in seen:
+                if len(elements) == MAX_FACTOR_ORDER:
+                    raise FactorTooLarge(f"perm-gens closure exceeds {MAX_FACTOR_ORDER} elements")
                 seen[q] = len(elements)
                 elements.append(q)
                 queue.append(q)
@@ -190,6 +196,8 @@ def _require_order(doc: dict) -> int:
     order = doc.get("order")
     if not isinstance(order, int) or order < 1:
         raise SpecParseError(f"'order' must be a natural number >= 1, got {order!r}")
+    if order > MAX_FACTOR_ORDER:
+        raise FactorTooLarge(f"factor order {order} exceeds {MAX_FACTOR_ORDER}")
     return order
 
 

@@ -23,18 +23,10 @@ from itertools import product
 from math import prod
 from typing import Callable, Sequence
 
-from .errors import ArityMismatch, DomainTooLarge, InfiniteFactor, MissingSuppliedIndex
+from .errors import ArityMismatch, DomainTooLarge, MissingSuppliedIndex
 from .freeproduct import Ball, FreeProduct
 from .groups import FactorElement, FactorGroup
-from .words import (
-    GroupWord,
-    Syllable,
-    VariableSymbol,
-    canonicalize_word,
-    evaluate_in_group,
-    evaluates_to_identity,
-    shape_key,
-)
+from .words import GroupWord, evaluate_in_group, evaluates_to_identity, shape_key
 
 DEFAULT_CUTOFF = 8
 DEFAULT_BRANCH_CAP = 10**7
@@ -126,8 +118,6 @@ class SearchDomain:
 
     @classmethod
     def from_factor(cls, group: FactorGroup) -> "SearchDomain":
-        if group.declared_infinite:
-            raise InfiniteFactor(f"factor {group.id} ({group.name}) is an infinite stub")
         return cls(f"factor:{group.id}", tuple(group.elements()))
 
     @classmethod
@@ -273,41 +263,20 @@ def max_ladder(
     return IndexResult(witness.m, witness, cutoff_hit, nodes)
 
 
-def _used_positions(w: GroupWord) -> tuple[list[int], list[int]]:
-    xs = sorted({s.symbol.position for s in w.syllables if s.symbol.tuple_name == "x"})
-    ys = sorted({s.symbol.position for s in w.syllables if s.symbol.tuple_name == "y"})
-    return xs, ys
+def _coordinate_domains(
+    w: GroupWord, domain: SearchDomain
+) -> tuple[list[SearchDomain], list[SearchDomain]]:
+    """Per-coordinate domains for searching w as written: ``domain`` at each
+    position w uses, and a one-value domain holding its least value at each
+    position it does not. Their product lists the rows of a search over the
+    used coordinates alone, in the same order, each padded with that value."""
+    least = SearchDomain(domain.kind, domain.values[:1])
+    used = {(s.symbol.tuple_name, s.symbol.position) for s in w.syllables}
 
+    def domains(name: str, arity: int) -> list[SearchDomain]:
+        return [domain if (name, p) in used else least for p in range(1, arity + 1)]
 
-def _renumber_by_position(w: GroupWord) -> tuple[GroupWord, list[int], list[int]]:
-    """Renumber variables to 1..n in ascending position order, dropping unused
-    positions. Position order (unlike first-occurrence order) keeps the
-    lexicographic witness order aligned with the original coordinates."""
-    xs, ys = _used_positions(w)
-    xmap = {p: i + 1 for i, p in enumerate(xs)}
-    ymap = {p: i + 1 for i, p in enumerate(ys)}
-    syllables = tuple(
-        Syllable(
-            VariableSymbol(
-                s.symbol.tuple_name,
-                (xmap if s.symbol.tuple_name == "x" else ymap)[s.symbol.position],
-                s.symbol.annotation,
-            ),
-            s.exponent,
-        )
-        for s in w.syllables
-    )
-    return GroupWord.from_syllables(syllables), xs, ys
-
-
-def _pad_rows(rows, used, arity, identity):
-    padded = []
-    for row in rows:
-        full = [identity] * arity
-        for value, pos in zip(row, used):
-            full[pos - 1] = value
-        padded.append(tuple(full))
-    return tuple(padded)
+    return domains("x", w.arity_x), domains("y", w.arity_y)
 
 
 def word_index(
@@ -320,25 +289,15 @@ def word_index(
 ) -> IndexResult:
     """Stability index of 'w = 1' over the domain.
 
-    Unused variable positions never change the index (a ladder projects onto
-    the used coordinates and pads back), so the search runs on the
-    position-renumbered word and the witness is padded back to the original
-    arity with the least domain value, keeping it the lexicographically
-    least maximal ladder. ``threads`` is ignored; it stays only for the
-    benchmark worker's ``threads=1``.
+    The word is searched as written. An unused variable never changes the
+    index, so its coordinate ranges over the least domain value alone; the
+    witness is then the lexicographically least maximal ladder in the word's
+    own coordinates. ``threads`` is ignored; it stays only for the benchmark
+    worker's ``threads=1``.
     """
-    reduced, xs, ys = _renumber_by_position(w)
-    formula = word_formula(context, reduced, negated=negated)
-    result = max_ladder(formula, domain, cutoff=cutoff)
-    if result.witness is None or (len(xs) == w.arity_x and len(ys) == w.arity_y):
-        return result
-    pad = domain.values[0]
-    witness = Ladder(
-        result.witness.m,
-        _pad_rows(result.witness.a_rows, xs, w.arity_x, pad),
-        _pad_rows(result.witness.b_rows, ys, w.arity_y, pad),
-    )
-    return replace(result, witness=witness)
+    a_domains, b_domains = _coordinate_domains(w, domain)
+    formula = word_formula(context, w, negated=negated)
+    return max_ladder(formula, domain, cutoff, a_domains=a_domains, b_domains=b_domains)
 
 
 def qf_stability_index(
@@ -350,15 +309,14 @@ def qf_stability_index(
     """Stability index of 'block = 1' (or '!= 1') over the whole factor.
 
     For infinite stubs the supplied index for the block's canonical shape is
-    passed through (witness absent). For finite factors the variables are
-    renumbered to their first-occurrence shape (unused coordinates never
-    change the index) and searched exhaustively; with the default cutoff the
-    result is exact because ladder rows are pairwise distinct, so no ladder
-    can be longer than the number of distinct row tuples.
+    passed through (witness absent). For finite factors the block is searched
+    as written, each unused variable over the factor's least element alone,
+    so the witness is a ladder for the block in its own coordinates. With the
+    default cutoff the result is exact: ladder rows are pairwise distinct, so
+    no ladder is longer than the number of distinct a-rows or b-rows.
     """
-    canonical = canonicalize_word(block)
     if factor.declared_infinite:
-        key = shape_key(canonical, negated)
+        key = shape_key(block, negated)
         value = factor.supplied_indices.get(key)
         if value is None:
             raise MissingSuppliedIndex(
@@ -367,14 +325,13 @@ def qf_stability_index(
             )
         return IndexResult(value, None, False, 0)
 
-    formula = group_word_formula(factor, canonical, negated=negated)
     domain = SearchDomain.from_factor(factor)
-    hard_limit = min(
-        factor.order ** canonical.arity_x, factor.order ** canonical.arity_y
-    )
+    a_domains, b_domains = _coordinate_domains(block, domain)
+    hard_limit = min(prod(len(d.values) for d in a_domains),
+                     prod(len(d.values) for d in b_domains))
     effective = hard_limit if cutoff is None else min(cutoff, hard_limit)
-    effective = max(effective, 1)
-    result = max_ladder(formula, domain, cutoff=effective)
+    formula = group_word_formula(factor, block, negated=negated)
+    result = max_ladder(formula, domain, effective, a_domains=a_domains, b_domains=b_domains)
     if result.cutoff_hit and result.index >= hard_limit:
         # rows are pairwise distinct, so hard_limit-length ladders are maximal
         result = replace(result, cutoff_hit=False)

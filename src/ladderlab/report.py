@@ -10,7 +10,7 @@ from typing import Mapping, Sequence
 
 from .bounds import theorem_bound
 from .freeproduct import FreeProduct
-from .ladder import Ladder, SearchDomain, word_index
+from .ladder import DEFAULT_CUTOFF, Ladder, SearchDomain, word_index
 from .ramsey import SAT_CAP_LIMIT, bound_to_json, bv_exact, sat_min
 from .words import GroupWord, render_word
 
@@ -172,7 +172,7 @@ def run_verify(
     context: FreeProduct,
     word: GroupWord,
     radius: int,
-    cutoff: int = 8,
+    cutoff: int = DEFAULT_CUTOFF,
     ball_cap: int | None = None,
     threads: int = 1,
     force_bound: int | None = None,

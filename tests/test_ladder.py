@@ -181,6 +181,26 @@ def test_qf_index_unsatisfiable_negation(z2):
     assert result.witness.m == 0
 
 
+# an order-2 table group whose identity is element 1, not 0
+K_DOC = {"name": "K", "kind": "table", "order": 2, "table": [[1, 0], [0, 1]]}
+
+
+@pytest.mark.parametrize("negated", [False, True])
+@pytest.mark.parametrize(
+    "text", ["x2 y1", "y2 x2", "x2 y1 x1 y1^-1", "x3 y2 x1 y1^-1", "x3@0 y3@0^-1"]
+)
+def test_factor_witness_is_a_ladder_for_the_word_as_written(z2, s3, text, negated):
+    # unused positions, and used positions out of order, keep the word's own
+    # coordinates: the witness rows have its arities and are a ladder for it
+    w = parse_word(text)
+    for g in (z2, s3, load_group(K_DOC, 0)):
+        result = qf_stability_index(g, w, negated=negated)
+        witness = result.witness
+        assert all(len(row) == w.arity_x for row in witness.a_rows)
+        assert all(len(row) == w.arity_y for row in witness.b_rows)
+        assert is_ladder(group_word_formula(g, w, negated), witness.a_rows, witness.b_rows)
+
+
 def test_qf_stability_stub_passthrough():
     stub = load_group(
         {

@@ -170,6 +170,41 @@ def test_cmd_index_factor_domain(spec_files, capsys):
     assert doc["index"] == 1
 
 
+def test_cmd_index_factor_witness_in_word_coordinates(spec_files, capsys):
+    argv = ["index", "--word", "x2 y1", "--factor", "0", "--groups", spec_files["s3"], "--json"]
+    assert run(argv) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["witness"]["m"] >= 1
+    assert all(len(row) == 2 for row in doc["witness"]["a_rows"])
+    assert all(len(row) == 1 for row in doc["witness"]["b_rows"])
+
+
+def test_cmd_index_rejects_a_cutoff_below_one(spec_files, capsys):
+    groups = ["--groups", spec_files["z2"], spec_files["z2"]]
+    assert run(["index", "--word", "x1 y1", "--factor", "0", "--cutoff", "-3"] + groups) == EXIT_PARSE
+    assert run(["index", "--word", "x1 y1", "--radius", "1", "--cutoff", "0"] + groups) == EXIT_PARSE
+    assert "cutoff must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"name": "Z257", "kind": "cyclic", "order": 257},
+        # refused on the declared order, before the table is read
+        {"name": "T257", "kind": "table", "order": 257, "table": []},
+        {"name": "S7", "kind": "perm-gens", "generators": [[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]]},
+    ],
+    ids=lambda doc: doc["name"],
+)
+def test_factor_order_cap_exits_3(tmp_path, capsys, doc):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    start = time.perf_counter()
+    assert run(["reduce", "", "--groups", str(path), str(path)]) == EXIT_RESOURCE
+    assert time.perf_counter() - start < 1.0
+    assert "exceeds" in capsys.readouterr().err
+
+
 def test_cmd_bound_empty_word(spec_files, capsys):
     code = run(
         ["bound", "--word", "", "--radius", "2", "--groups", spec_files["z2"], spec_files["z2"], "--json"]
