@@ -7,10 +7,11 @@ polarities, the mu values, and the Ramsey applications) that can be replayed
 independently of the code that produced it.
 
 The recursion's rules live in one function, ``_derive_trace``: from each
-block's base indices it derives every range's value, colors, mu and
-subproducts. ``lemma_bound`` writes its trace; replay derives it again from
-the recorded base entries alone, and the checker requires every recorded
-range to be the derived one.
+block's base entry it derives every range's entry. One builder puts the
+derived trace and a header into a certificate. ``lemma_bound`` builds with
+the searched indices; the checker builds again from the recorded header and
+base indices and requires the result to equal the recorded certificate;
+replay derives the trace from the recorded base entries alone.
 
 A composite range records only its two maximal children, (i, j-1) and
 (i+1, j), in that order, each eq then neq (format
@@ -24,7 +25,7 @@ replay and check by their own rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Mapping, Sequence
 
 from .errors import AnnotationMismatch, LadderLabError
@@ -274,8 +275,7 @@ class BoundCertificate:
         """Parse a certificate document of either format; ValueError if the
         format is unknown or a field is missing or has the wrong type."""
         fmt = _field(doc, "format", str)
-        if fmt not in _SUBRANGES:
-            raise ValueError(f"unknown certificate format {fmt!r}")
+        _subranges(fmt)  # ValueError for an unknown format
         try:
             values = pool_to_values(_field(doc, "values", list))
         except (KeyError, IndexError, TypeError, AttributeError) as exc:
@@ -314,39 +314,64 @@ def _maximal_children(i: int, j: int) -> list[tuple[int, int]]:
 _SUBRANGES = {FORMAT_V1: _proper_subranges, FORMAT_V2: _maximal_children}
 
 
+def _subranges(fmt: str) -> Callable[[int, int], list[tuple[int, int]]]:
+    subranges = _SUBRANGES.get(fmt)
+    if subranges is None:
+        raise ValueError(f"unknown certificate format {fmt!r}")
+    return subranges
+
+
 def _derive_trace(
-    indices: Sequence[tuple[int, int]],
+    bases: Sequence[tuple[int | None, str | None, int, int]],
     first: int,
     subranges: Callable[[int, int], list[tuple[int, int]]],
-) -> dict[tuple[int, int], tuple]:
+) -> dict[tuple[int, int], RangeCert]:
     """The trace the recursion's rules give for blocks ``first``,
-    ``first + 1``, ... with base indices ``indices`` (eq, neq): each range
-    maps to (value, colors, mu, subproducts), each subproduct (start, stop,
-    polarity, value), in the order ``for j: for i from j down to first``.
+    ``first + 1``, ... with base entries ``bases`` (factor, shape, eq, neq),
+    in the order ``for j: for i from j down to first``.
 
-    A single block's value is the larger of its indices (colors and mu are
-    None). A composite range records the subproducts ``subranges`` names,
+    A single block's entry is a base entry whose value is the larger of its
+    indices. A composite range records the subproducts ``subranges`` names,
     each eq then neq (a single block carries both from its indices; a
     composite one is its value, then one more by negation_bound); mu is one
     past their maximum and the value is the Ramsey upper bound with 4^len
     colors (the per-block cases compose into a product coloring)."""
-    trace: dict[tuple[int, int], tuple] = {}
-    polar: dict[tuple[int, int], tuple[BoundValue, BoundValue]] = {}
-    for j, (eq, neq) in enumerate(indices, first):
-        trace[(j, j)] = (bv_exact(max(eq, neq)), None, None, ())
-        polar[(j, j)] = (bv_exact(eq), bv_exact(neq))
+    trace: dict[tuple[int, int], RangeCert] = {}
+    # each range's (eq, neq) refs, shared by every range that records it
+    refs: dict[tuple[int, int], tuple[SubproductRef, SubproductRef]] = {}
+    for j, (factor, shape, eq, neq) in enumerate(bases, first):
+        trace[(j, j)] = RangeCert(j, j, "base", bv_exact(max(eq, neq)), factor, shape, eq, neq)
+        refs[(j, j)] = (SubproductRef(j, j, "eq", bv_exact(eq)), SubproductRef(j, j, "neq", bv_exact(neq)))
         for i in range(j - 1, first - 1, -1):
-            subs = tuple(
-                (a, b, pol, v)
-                for a, b in subranges(i, j)
-                for pol, v in zip(("eq", "neq"), polar[(a, b)])
-            )
-            mu = bv_succ(bv_max([s[3] for s in subs]))
+            subs = tuple(ref for key in subranges(i, j) for ref in refs[key])
+            mu = bv_succ(bv_max([s.value for s in subs]))
             colors = CASES_PER_BLOCK ** (j - i + 1)
             value = bv_ramsey(colors, mu)
-            trace[(i, j)] = (value, colors, mu, subs)
-            polar[(i, j)] = (value, bv_succ(value))
+            trace[(i, j)] = RangeCert(i, j, "ramsey", value, colors=colors, mu=mu, subproducts=subs)
+            refs[(i, j)] = (SubproductRef(i, j, "eq", value), SubproductRef(i, j, "neq", bv_succ(value)))
     return trace
+
+
+def _build_certificate(
+    decomp: BlockDecomposition,
+    indices: Sequence[tuple[int, int]],
+    subranges: Callable[[int, int], list[tuple[int, int]]],
+    **header,
+) -> BoundCertificate:
+    """The certificate the bound rules give for ``decomp`` with base indices
+    ``indices`` (eq, neq per block): every range ``_derive_trace`` derives by
+    ``subranges``, rooted at all the blocks, under the ``header`` fields
+    (word, rewritten, radius, num_factors, format). Without blocks there is
+    no root and the bound is 1: the constantly-true formula's index, since a
+    second ladder row would need a failing pair."""
+    bases = [
+        (blk.factor, word_shape(decomp.block_word(i)), eq, neq)
+        for i, (blk, (eq, neq)) in enumerate(zip(decomp.blocks, indices))
+    ]
+    ranges = _derive_trace(bases, 0, subranges)
+    root = (0, decomp.ell - 1) if decomp.ell else None
+    bound = ranges[root].value if root else bv_exact(1)
+    return BoundCertificate(bound=bound, ell=decomp.ell, ranges=ranges, root=root, **header)
 
 
 def lemma_bound(
@@ -357,11 +382,9 @@ def lemma_bound(
     radius: int | None = None,
 ) -> BoundCertificate:
     """Bound for an alternating block decomposition: the base oracle's
-    indices of every block, in block order, and the trace ``_derive_trace``
-    gives for them with each composite range recording its two maximal
-    children."""
-    if decomp.ell < 1:
-        raise ValueError("lemma recursion needs at least one block")
+    indices of every block, in block order, built into the certificate whose
+    composite ranges record their two maximal children. With no blocks the
+    bound is 1."""
     for a, b in zip(decomp.blocks, decomp.blocks[1:]):
         if a.factor == b.factor:
             raise AnnotationMismatch("adjacent blocks must alternate factors")
@@ -371,27 +394,9 @@ def lemma_bound(
     for i, blk in enumerate(decomp.blocks):
         factor, block = factor_map[blk.factor], decomp.block_word(i)
         indices.append((base(factor, block, False), base(factor, block, True)))
-    ranges: dict[tuple[int, int], RangeCert] = {}
-    for (i, j), (value, colors, mu, subs) in _derive_trace(indices, 0, _maximal_children).items():
-        if i == j:
-            eq, neq = indices[i]
-            shape = word_shape(decomp.block_word(i))
-            rc = RangeCert(i, j, "base", value, decomp.blocks[i].factor, shape, eq, neq)
-        else:
-            refs = tuple(SubproductRef(*s) for s in subs)
-            rc = RangeCert(i, j, "ramsey", value, colors=colors, mu=mu, subproducts=refs)
-        ranges[(i, j)] = rc
-    root = (0, decomp.ell - 1)
-    return BoundCertificate(
-        bound=ranges[root].value,
-        word=word_text if word_text is not None else "",
-        rewritten=render_word(decomp.word),
-        ell=decomp.ell,
-        radius=radius,
-        num_factors=len(factor_map),
-        ranges=ranges,
-        root=root,
-    )
+    return _build_certificate(
+        decomp, indices, _maximal_children, word=word_text if word_text is not None else "",
+        rewritten=render_word(decomp.word), radius=radius, num_factors=len(factor_map), format=FORMAT_V2)
 
 
 def theorem_bound(
@@ -403,104 +408,68 @@ def theorem_bound(
         raise ValueError("r must be >= 1")
     if len(factors) < 2:
         raise ValueError("need at least 2 factors")
-    if not w.syllables:
-        # the constantly-true formula has index 1: a second ladder row would
-        # need a failing pair
-        return BoundCertificate(
-            bound=bv_exact(1),
-            word=render_word(w),
-            rewritten="",
-            ell=0,
-            radius=r,
-            num_factors=len(factors),
-            ranges={},
-            root=None,
-        )
-    rewritten = change_of_variables(w, r, len(factors))
-    decomp = block_decompose(rewritten)
-    base = SearchBaseOracle(factors)
+    decomp = block_decompose(change_of_variables(w, r, len(factors)))
     return lemma_bound(
-        decomp, base, factors=factors, word_text=render_word(w), radius=r
+        decomp, SearchBaseOracle(factors), factors=factors, word_text=render_word(w), radius=r
     )
 
 
-def _walk_certificate(cert: BoundCertificate, check: bool) -> BoundValue:
-    """Derive the trace from the root's base entries by the format's rule
-    (@2: the two maximal children; @1: every proper subrange) and return the
-    root's value. With ``check``, also require the certificate to be the one
-    the rules give - the rewritten word is the change of variables of
-    ``word`` (when ``radius`` and ``num_factors`` are recorded), ``ell`` is
-    its block count, the root spans all ``ell`` blocks, a base entry records
-    its block's factor and shape, every recorded range is the derived entry
-    (values compared as objects, as nodes are hash-consed; subproducts in
-    the rule's order), there is no other range, and the bound is the root's
-    value - and raise ValueError at the first entry that is not."""
-    subranges = _SUBRANGES.get(cert.format)
-    if subranges is None:
-        raise ValueError(f"unknown certificate format {cert.format!r}")
-    if check:
-        rewritten = parse_word(cert.rewritten)
-        if cert.radius is not None and cert.num_factors is not None:
-            word = parse_word(cert.word)
-            # lengths first, so a forged header cannot make a huge template
-            t = template_length(cert.radius, cert.num_factors)
-            if len(word) * t != len(rewritten) or render_word(
-                change_of_variables(word, cert.radius, cert.num_factors)
-            ) != cert.rewritten:
-                raise ValueError("the rewritten word is not the word's change of variables")
-        decomp = block_decompose(rewritten)
-        if decomp.ell != cert.ell:
-            raise ValueError(f"the rewritten word does not have {cert.ell} blocks")
-    if cert.root is None:  # the empty word
-        value = bv_exact(1)
-        if check and (cert.ell != 0 or cert.ranges or cert.bound is not value):
-            raise ValueError("a certificate without a root must have no blocks and bound 1")
-        return value
-    first, last = cert.root
-    if last < first or (check and (first, last) != (0, cert.ell - 1)):
-        raise ValueError(f"root {cert.root} does not span the {cert.ell} blocks")
-    indices = []
+def _base_entries(cert: BoundCertificate, first: int, last: int) -> list[tuple]:
+    """(factor, shape, eq, neq) of the recorded base entries of blocks
+    ``first``..``last``; ValueError at the first that is missing or is not
+    a base entry."""
+    bases = []
     for i in range(first, last + 1):
-        rc = _recorded(cert, (i, i))
-        if check and (
-            rc.kind != "base"
-            or rc.factor != decomp.blocks[i].factor
-            or rc.shape != word_shape(decomp.block_word(i))
-        ):
-            raise ValueError(f"range {(i, i)} is not the base entry of block {i}")
-        indices.append((rc.eq_index, rc.neq_index))
-    trace = _derive_trace(indices, first, subranges)
-    value = trace[cert.root][0]
-    if check:
-        for key, entry in trace.items():
-            rc = _recorded(cert, key)
-            subs = tuple((s.start, s.stop, s.polarity, s.value) for s in rc.subproducts)
-            if (key[0] < key[1] and rc.kind != "ramsey") or (rc.value, rc.colors, rc.mu, subs) != entry:
-                raise ValueError(f"range {key} is not the entry the rules give")
-        if len(cert.ranges) != len(trace):
-            raise ValueError("the trace has ranges outside the root")
-        if cert.bound is not value:
-            raise ValueError("the bound is not the root range's value")
-    return value
-
-
-def _recorded(cert: BoundCertificate, key: tuple[int, int]) -> RangeCert:
-    rc = cert.ranges.get(key)
-    if rc is None or (rc.start, rc.stop) != key:
-        raise ValueError(f"range {key} is missing")
-    return rc
+        rc = cert.ranges.get((i, i))
+        if rc is None or rc.kind != "base":
+            raise ValueError(f"range {(i, i)} is missing or is not a base entry")
+        bases.append((rc.factor, rc.shape, rc.eq_index, rc.neq_index))
+    return bases
 
 
 def replay_certificate(cert: BoundCertificate) -> BoundValue:
-    """Recompute the bound from the trace's base indices alone."""
-    return _walk_certificate(cert, check=False)
+    """Recompute the bound from the trace's base indices alone: derive the
+    trace from the root's recorded base entries by the format's rule (@2:
+    the two maximal children; @1: every proper subrange) and return the
+    root's value."""
+    subranges = _subranges(cert.format)
+    if cert.root is None:  # the empty word
+        return bv_exact(1)
+    first, last = cert.root
+    if last < first:
+        raise ValueError(f"root {cert.root} spans no blocks")
+    return _derive_trace(_base_entries(cert, first, last), first, subranges)[cert.root].value
 
 
 def check_certificate(cert: BoundCertificate) -> BoundValue:
-    """The bound, if the trace follows the bound rules and every recorded
-    intermediate, and the bound, is what they give; otherwise ValueError
-    (or TypeError, LadderLabError) naming the first entry that is not."""
-    return _walk_certificate(cert, check=True)
+    """The bound, if the certificate equals the one built again from its
+    header (its rewritten word the change of variables of ``word``, when
+    ``radius`` and ``num_factors`` are recorded), the blocks of that word and
+    the recorded base indices; otherwise ValueError (or TypeError,
+    LadderLabError) naming the first range in derivation order, or else the
+    first field, that differs."""
+    subranges = _subranges(cert.format)
+    rewritten = parse_word(cert.rewritten)
+    if cert.radius is not None and cert.num_factors is not None:
+        word = parse_word(cert.word)
+        # lengths first, so a forged header cannot make a huge template
+        t = template_length(cert.radius, cert.num_factors)
+        if len(word) * t != len(rewritten) or render_word(
+            change_of_variables(word, cert.radius, cert.num_factors)
+        ) != cert.rewritten:
+            raise ValueError("the rewritten word is not the word's change of variables")
+    decomp = block_decompose(rewritten)
+    indices = [(eq, neq) for *_, eq, neq in _base_entries(cert, 0, decomp.ell - 1)]
+    header = {name: getattr(cert, name) for name in ("word", "rewritten", "radius", "num_factors", "format")}
+    rebuilt = _build_certificate(decomp, indices, subranges, **header)
+    # bound values are hash-consed, so == compares the entries' values as nodes
+    for key in [*rebuilt.ranges, *cert.ranges]:
+        if cert.ranges.get(key) != rebuilt.ranges.get(key):
+            raise ValueError(f"range {key} is not the entry the rules give")
+    for f in fields(BoundCertificate):
+        if getattr(cert, f.name) != getattr(rebuilt, f.name):
+            raise ValueError(f"the {f.name} is not what the rules give")
+    return rebuilt.bound
 
 
 def verify_certificate(cert: BoundCertificate) -> bool:

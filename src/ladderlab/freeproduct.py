@@ -53,9 +53,6 @@ class ReducedWord:
     def inverse(self) -> "ReducedWord":
         return self.context.invert(self)
 
-    def sort_key(self) -> tuple:
-        return (len(self.letters), tuple((l.factor, l.elem) for l in self.letters))
-
     def render(self) -> str:
         if not self.letters:
             return IDENTITY_RENDERING

@@ -29,7 +29,7 @@ from .groups import FactorElement, FactorGroup
 from .words import GroupWord, evaluate_in_group, evaluates_to_identity, shape_key
 
 DEFAULT_CUTOFF = 8
-DEFAULT_BRANCH_CAP = 10**7
+BRANCH_CAP = 10**7  # row pairs (|A| x |B|) a ladder search may range over
 
 
 @dataclass(frozen=True)
@@ -162,7 +162,6 @@ def max_ladder(
     formula: Formula,
     domain: SearchDomain,
     cutoff: int = DEFAULT_CUTOFF,
-    branch_cap: int = DEFAULT_BRANCH_CAP,
     a_domains: Sequence[SearchDomain] | None = None,
     b_domains: Sequence[SearchDomain] | None = None,
 ) -> IndexResult:
@@ -185,8 +184,8 @@ def max_ladder(
         raise ArityMismatch("per-coordinate domain count does not match formula arity")
 
     branching = prod(len(d.values) for d in a_doms + b_doms)
-    if branching > branch_cap:
-        raise DomainTooLarge(branch_cap, branching)
+    if branching > BRANCH_CAP:
+        raise DomainTooLarge(BRANCH_CAP, branching)
 
     a_cands = tuple(product(*[d.values for d in a_doms]))
     b_cands = tuple(product(*[d.values for d in b_doms]))

@@ -139,7 +139,7 @@ def table_index(bits: int, n_rows: int, memo: dict) -> int:
         return cached
     domain = SearchDomain.from_values(tuple(range(n_rows)))
     f = Formula(1, 1, lambda a, b: bool(bits >> (a[0] * n_rows + b[0]) & 1))
-    result = max_ladder(f, domain, cutoff=n_rows, branch_cap=10**8)
+    result = max_ladder(f, domain, cutoff=n_rows)
     # ladder rows are pairwise distinct, so n_rows is a hard maximum
     memo[bits] = result.index
     return result.index

@@ -152,6 +152,23 @@ def test_theorem_bound_empty_word(z2z2):
     assert cert.bound == bv_exact(1)
     assert cert.ell == 0
     assert replay_certificate(cert) == cert.bound
+    assert json.dumps(cert.to_json(), sort_keys=True) == (
+        '{"bound": 0, "bound_text": "1", "coloring": {"cases_per_block": 4, "rule": '
+        '"product over block coordinates"}, "ell": 0, "format": "ladderlab-certificate@2", '
+        '"num_factors": 2, "radius": 3, "ranges": [], "rewritten": "", "root": null, '
+        '"values": [{"kind": "exact", "value": "1"}], "word": ""}'
+    )
+
+
+def test_lemma_bound_empty_decomposition(z2z2):
+    cert = lemma_bound(block_decompose(parse_word("")), constant_base(3, 3), factors=z2z2.factors)
+    assert (cert.bound, cert.root, cert.ranges, cert.ell) == (bv_exact(1), None, {}, 0)
+    assert verify_certificate(cert)
+    stray = RangeCert(0, 0, "base", bv_exact(1), factor=0, shape="x1", eq_index=1, neq_index=1)
+    for forged in (replace(cert, bound=bv_exact(2)), replace(cert, ranges={(0, 0): stray})):
+        parsed = BoundCertificate.from_json(json.loads(json.dumps(forged.to_json())))
+        assert verify_certificate(forged) is False
+        assert verify_certificate(parsed) is False
 
 
 def test_theorem_bound_structure(z2z2):

@@ -154,10 +154,12 @@ def test_cutoff_reported(z2z2):
     assert result.index == 1
 
 
-def test_domain_too_large(z2z3):
-    f = word_formula(z2z3, parse_word("x1 x2 y1"))
-    with pytest.raises(DomainTooLarge):
-        max_ladder(f, ball_domain(z2z3, 2), branch_cap=10)
+def test_domain_too_large(z3s3):
+    # 298^4 row pairs, over the 10^7 cap: raises before any row is built
+    f = word_formula(z3s3, parse_word("x1 x2 y1 y2"))
+    with pytest.raises(DomainTooLarge) as info:
+        max_ladder(f, ball_domain(z3s3, 4))
+    assert (info.value.cap, info.value.predicted) == (10**7, 298**4)
 
 
 def test_qf_stability_index_z2(z2):
