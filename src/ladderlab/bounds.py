@@ -441,6 +441,15 @@ def replay_certificate(cert: BoundCertificate) -> BoundValue:
     return _derive_trace(_base_entries(cert, first, last), first, subranges)[cert.root].value
 
 
+def _header_field(name: str, make: Callable[[], object]):
+    """``make()``; a ValueError or LadderLabError it raises is raised again
+    as a ValueError that names the certificate field ``name``."""
+    try:
+        return make()
+    except (ValueError, LadderLabError) as exc:
+        raise ValueError(f"the {name} field: {exc}") from exc
+
+
 def check_certificate(cert: BoundCertificate) -> BoundValue:
     """The bound, if the certificate equals the one built again from its
     header (its rewritten word the change of variables of ``word``, when
@@ -449,16 +458,19 @@ def check_certificate(cert: BoundCertificate) -> BoundValue:
     LadderLabError) naming the first range in derivation order, or else the
     first field, that differs."""
     subranges = _subranges(cert.format)
-    rewritten = parse_word(cert.rewritten)
+    rewritten = _header_field("rewritten", lambda: parse_word(cert.rewritten))
     if cert.radius is not None and cert.num_factors is not None:
-        word = parse_word(cert.word)
+        word = _header_field("word", lambda: parse_word(cert.word))
         # lengths first, so a forged header cannot make a huge template
         t = template_length(cert.radius, cert.num_factors)
+        # change_of_variables rejects a radius below 1, then fewer than two
+        # factors, then an annotated word
+        blame = "radius" if cert.radius < 1 else "num_factors" if cert.num_factors < 2 else "word"
         if len(word) * t != len(rewritten) or render_word(
-            change_of_variables(word, cert.radius, cert.num_factors)
+            _header_field(blame, lambda: change_of_variables(word, cert.radius, cert.num_factors))
         ) != cert.rewritten:
             raise ValueError("the rewritten word is not the word's change of variables")
-    decomp = block_decompose(rewritten)
+    decomp = _header_field("rewritten", lambda: block_decompose(rewritten))
     indices = [(eq, neq) for *_, eq, neq in _base_entries(cert, 0, decomp.ell - 1)]
     header = {name: getattr(cert, name) for name in ("word", "rewritten", "radius", "num_factors", "format")}
     rebuilt = _build_certificate(decomp, indices, subranges, **header)

@@ -2,7 +2,7 @@
 
 Exit codes are a stable contract: 0 success/verified, 2 parse or validation
 error (including a certificate that breaks the bound rules), 3 resource cap
-exceeded (including a bound nested too deeply to walk), 4 cutoff-inconclusive
+exceeded (including a JSON file nested too deeply to read), 4 cutoff-inconclusive
 verification, 5 bound violation (an implementation bug, reported loudly).
 """
 
@@ -293,7 +293,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except RecursionError:
-        print("error: a bound value is nested too deeply to walk", file=sys.stderr)
+        print("error: a JSON file is nested too deeply to read", file=sys.stderr)
         return EXIT_RESOURCE
 
 

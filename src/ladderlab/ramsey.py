@@ -93,30 +93,53 @@ def _pattern_children(pattern: tuple) -> Iterable[tuple[tuple, int]]:
         yield tuple(sorted(child)), cnt
 
 
-def _pattern_exact(pattern: tuple) -> int:
-    """Exact recurrence value for the multiset of coordinates >= 3.
+def _walk(rule, key, memo: dict | None = None):
+    """The value of ``key`` under ``rule``, over an explicit stack so depth
+    costs no recursion. A rule is a generator function of a key: it yields the
+    key of each value it needs, is sent that value, and returns its own. Each
+    key is evaluated once per ``memo``, in the order a recursive walk takes;
+    a key already in ``memo`` gets no generator."""
+    memo = {} if memo is None else memo
+    if key in memo:
+        return memo[key]
+    keys, sends = [key], [rule(key).send]
+    value = None
+    while sends:
+        try:
+            need = sends[-1](value)
+        except StopIteration as done:
+            sends.pop()
+            value = memo[keys.pop()] = done.value
+            continue
+        if need in memo:
+            value = memo[need]
+        else:
+            keys.append(need)
+            sends.append(rule(need).send)
+            value = None
+    return value
 
-    Explicit-stack evaluation: chains of decrements can be as long as the
-    color count, far past the interpreter recursion limit. The memo lives for
-    this call only."""
-    memo: dict[tuple, int] = {}
-    stack = [pattern]
-    while stack:
-        pat = stack[-1]
-        if not pat or pat in memo:
-            stack.pop()
-            continue
-        children = list(_pattern_children(pat))
-        missing = [c for c, _ in children if c and c not in memo]
-        if missing:
-            stack.extend(missing)
-            continue
-        total = 2 - len(pat)
-        for child, cnt in children:
-            total += cnt * (memo[child] if child else 2)
-        memo[pat] = total
-        stack.pop()
-    return memo[pattern] if pattern else 2
+
+def _each(keys: Iterable):
+    """Rule helper: ``yield from _each(keys)`` gives the list of their values."""
+    values = []
+    for key in keys:
+        values.append((yield key))
+    return values
+
+
+def _pattern_rule(pattern: tuple):
+    total = 2 - len(pattern)  # the empty pattern (every coordinate 2) gives 2
+    for child, cnt in _pattern_children(pattern):
+        total += cnt * (yield child)
+    return total
+
+
+def _pattern_exact(pattern: tuple) -> int:
+    """Exact recurrence value for the multiset of coordinates >= 3. Chains of
+    decrements can be as long as the color count, so this walks an explicit
+    stack; the memo lives for this call only."""
+    return _walk(_pattern_rule, pattern)
 
 
 def _threes(colors: int) -> int:
@@ -356,38 +379,24 @@ class BoundPool:
         self.nodes: list[dict] = []
 
     def intern(self, v: BoundValue) -> int:
-        """The id of ``v``, writing its unwritten descendants first. Walks an
-        explicit stack, so depth costs no recursion; ids come in the order of
-        a recursive walk that writes children left to right, then the node."""
-        ids = self.ids
-        stack = [v]
-        while stack:
-            node = stack[-1]
-            if node in ids:
-                stack.pop()
-                continue
-            if isinstance(node, BExact):
-                children = ()
-                entry = {"kind": "exact", "value": str(node.value)}
-            elif isinstance(node, BSucc):
-                children = (node.base,)
-                entry = {"kind": "succ", "of": ids.get(node.base)}
-            elif isinstance(node, BMax):
-                children = node.items
-                entry = {"kind": "max", "of": [ids.get(i) for i in node.items]}
-            elif isinstance(node, BRamsey):
-                children = (node.target,)
-                entry = {"kind": "ramsey", "colors": node.colors, "target": ids.get(node.target)}
-            else:
-                raise TypeError(f"not a bound value: {node!r}")
-            missing = [c for c in children if c not in ids]
-            if missing:  # the entry is built again once they are written
-                stack += reversed(missing)  # the first child is written first
-                continue
-            stack.pop()
-            ids[node] = len(self.nodes)
-            self.nodes.append(entry)
-        return ids[v]
+        """The id of ``v``, writing its unwritten descendants first, children
+        left to right, then the node."""
+        return _walk(self._write, v, self.ids)
+
+    def _write(self, node: BoundValue):
+        """Rule for ``intern``: is sent each child's id, returns the node's."""
+        if isinstance(node, BExact):
+            entry = {"kind": "exact", "value": str(node.value)}
+        elif isinstance(node, BSucc):
+            entry = {"kind": "succ", "of": (yield node.base)}
+        elif isinstance(node, BMax):
+            entry = {"kind": "max", "of": (yield from _each(node.items))}
+        elif isinstance(node, BRamsey):
+            entry = {"kind": "ramsey", "colors": node.colors, "target": (yield node.target)}
+        else:
+            raise TypeError(f"not a bound value: {node!r}")
+        self.nodes.append(entry)
+        return len(self.nodes) - 1
 
 
 def pool_to_values(nodes: list[dict]) -> list[BoundValue]:
@@ -427,9 +436,10 @@ def bound_from_json(doc: dict) -> BoundValue:
 
 
 # -- comparisons --------------------------------------------------------------
-# Values share subtrees, so each public comparison memoizes its walk in a dict
-# that lives for the one call: keys ("ge", v, n), ("up", v) and ("le", x, y).
-# Up to SAT_CAP_LIMIT no walk is needed: every node carries min(v, the limit).
+# Each public comparison is one ``_walk`` of ``_compare_rule``, whose memo lives
+# for the one call; values share subtrees, so each key ("ge", v, n), ("up", v)
+# or ("le", x, y) is evaluated once, and deep values cost no recursion. Up to
+# SAT_CAP_LIMIT no walk is needed: every node carries min(v, the limit).
 
 
 def sat_min(v: BoundValue, cap: int) -> int:
@@ -454,129 +464,94 @@ def _bridge_target(n: int) -> int:
 
 def is_ge_int(v: BoundValue, n: int) -> bool | None:
     """Tristate 'v >= n'; always decided when n is small."""
-    return _is_ge_int(v, n, {})
+    return _walk(_compare_rule, ("ge", v, n))
 
 
-def _is_ge_int(v: BoundValue, n: int, memo: dict) -> bool | None:
-    if n <= SAT_CAP_LIMIT:
-        return v._sat >= n
-    key = ("ge", v, n)
-    if key in memo:
-        return memo[key]
-    result: bool | None
-    if isinstance(v, BExact):
-        result = v.value >= n
-    elif isinstance(v, BSucc):
-        result = _is_ge_int(v.base, n - 1, memo)
-    elif isinstance(v, BMax):
-        votes = [_is_ge_int(i, n, memo) for i in v.items]
-        if any(r is True for r in votes):
-            result = True
-        elif all(r is False for r in votes):
-            result = False
-        else:
-            result = None
-    elif isinstance(v, BRamsey):
-        if v.colors == 1:
-            result = _is_ge_int(v.target, n, memo)
-        else:
-            k = _bridge_target(n)
-            result = True if _is_ge_int(v.target, k, memo) is True else None
-    else:
-        raise TypeError(f"not a bound value: {v!r}")
-    memo[key] = result
-    return result
+def upper_int(v: BoundValue) -> int | None:
+    """A sound explicit upper bound, or None when one is too big to build."""
+    return _walk(_compare_rule, ("up", v))
+
+
+def le_bound(x: BoundValue, y: BoundValue) -> bool | None:
+    """Tristate 'x <= y' via sound structural rules."""
+    return _walk(_compare_rule, ("le", x, y))
 
 
 _UPPER_NODE_LIMIT = 200_000
 
 
-def upper_int(v: BoundValue) -> int | None:
-    """A sound explicit upper bound, or None when one is too big to build."""
-    return _upper_int(v, {})
-
-
-def _upper_int(v: BoundValue, memo: dict) -> int | None:
-    key = ("up", v)
-    if key in memo:
-        return memo[key]
-    result: int | None = None
-    if isinstance(v, BExact):
-        result = v.value
-    elif isinstance(v, BSucc):
-        u = _upper_int(v.base, memo)
-        result = None if u is None else u + 1
-    elif isinstance(v, BMax):
-        uppers = [_upper_int(i, memo) for i in v.items]
-        if all(u is not None for u in uppers):
-            result = max(uppers)  # type: ignore[type-var]
-    elif isinstance(v, BRamsey):
-        tu = _upper_int(v.target, memo)
-        if tu is None or tu < 1:
-            result = None
-        elif tu <= 2 or v.colors == 1:
-            result = max(tu, 2)
-        elif (tu - 1) * v.colors <= _UPPER_NODE_LIMIT:
-            total = (tu - 1) * v.colors
-            result = math.factorial(total) // math.factorial(tu - 1) ** v.colors
-    else:
+def _compare_rule(key: tuple):
+    """Rule for the comparison walks, on keys ("ge", v, n), ("up", v) and
+    ("le", x, y)."""
+    if key[0] == "ge":
+        _, v, n = key
+        if n <= SAT_CAP_LIMIT:
+            return v._sat >= n
+        if isinstance(v, BExact):
+            return v.value >= n
+        if isinstance(v, BSucc):
+            return (yield ("ge", v.base, n - 1))
+        if isinstance(v, BMax):
+            votes = yield from _each(("ge", i, n) for i in v.items)
+            if any(r is True for r in votes):
+                return True
+            return False if all(r is False for r in votes) else None
+        if isinstance(v, BRamsey):
+            if v.colors == 1:
+                return (yield ("ge", v.target, n))
+            return True if (yield ("ge", v.target, _bridge_target(n))) is True else None
         raise TypeError(f"not a bound value: {v!r}")
-    memo[key] = result
-    return result
-
-
-def le_bound(x: BoundValue, y: BoundValue) -> bool | None:
-    """Tristate 'x <= y' via sound structural rules."""
-    return _le_bound(x, y, {})
-
-
-def _le_bound(x: BoundValue, y: BoundValue, memo: dict) -> bool | None:
+    if key[0] == "up":
+        v = key[1]
+        if isinstance(v, BExact):
+            return v.value
+        if isinstance(v, BSucc):
+            u = yield ("up", v.base)
+            return None if u is None else u + 1
+        if isinstance(v, BMax):
+            uppers = yield from _each(("up", i) for i in v.items)
+            return None if None in uppers else max(uppers)
+        if isinstance(v, BRamsey):
+            tu = yield ("up", v.target)
+            if tu is None or tu < 1:
+                return None
+            if tu <= 2 or v.colors == 1:
+                return max(tu, 2)
+            total = (tu - 1) * v.colors
+            if total > _UPPER_NODE_LIMIT:
+                return None
+            return math.factorial(total) // math.factorial(tu - 1) ** v.colors
+        raise TypeError(f"not a bound value: {v!r}")
+    _, x, y = key
     if x is y:
         return True
-    key = ("le", x, y)
-    if key not in memo:
-        memo[key] = _le_rules(x, y, memo)
-    return memo[key]
-
-
-def _le_rules(x: BoundValue, y: BoundValue, memo: dict) -> bool | None:
     if isinstance(y, BExact):
-        ge = _is_ge_int(x, y.value + 1, memo)
-        if ge is True:
-            return False
-        if ge is False:
-            return True
-        return None
+        ge = yield ("ge", x, y.value + 1)
+        return None if ge is None else not ge
     if isinstance(x, BExact):
-        return _is_ge_int(y, x.value, memo)
+        return (yield ("ge", y, x.value))
     if isinstance(x, BMax):
-        votes = [_le_bound(i, y, memo) for i in x.items]
+        votes = yield from _each(("le", i, y) for i in x.items)
         if all(r is True for r in votes):
             return True
-        if any(r is False for r in votes):
-            return False
-        return None
+        return False if any(r is False for r in votes) else None
     if isinstance(y, BMax):
-        votes = [_le_bound(x, i, memo) for i in y.items]
+        votes = yield from _each(("le", x, i) for i in y.items)
         if any(r is True for r in votes):
             return True
-        if all(r is False for r in votes):
-            return False
-        return None
+        return False if all(r is False for r in votes) else None
     if isinstance(x, BSucc) and isinstance(y, BSucc):
-        return _le_bound(x.base, y.base, memo)
+        return (yield ("le", x.base, y.base))
     if isinstance(y, BRamsey):
         if isinstance(x, BRamsey):
-            if x.colors <= y.colors and _le_bound(x.target, y.target, memo) is True:
+            if x.colors <= y.colors and (yield ("le", x.target, y.target)) is True:
                 return True
-        if _le_bound(x, y.target, memo) is True:
+        if (yield ("le", x, y.target)) is True:
             return True  # R(c, t) >= t
-        u = _upper_int(x, memo)
-        if u is not None and _is_ge_int(y, u, memo) is True:
+        u = yield ("up", x)
+        if u is not None and (yield ("ge", y, u)) is True:
             return True
         return None
     if isinstance(y, BSucc):
-        if _le_bound(x, y.base, memo) is True:
-            return True
-        return None
+        return True if (yield ("le", x, y.base)) is True else None
     return None

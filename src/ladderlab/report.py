@@ -177,7 +177,7 @@ def run_verify(
     threads: int = 1,
     force_bound: int | None = None,
 ) -> VerificationReport:
-    """Compute the bound, then search ladders with cutoff min(bound, cutoff).
+    """Compute the bound b, then search ladders with cutoff min(b + 1, cutoff).
 
     ``force_bound`` is a fault-injection hook for exercising the VIOLATION
     path; it replaces the certified bound after computation. ``threads`` is
@@ -208,7 +208,8 @@ def run_verify(
 
     t0 = time.perf_counter()
     cutoff = min(cutoff, SAT_CAP_LIMIT)
-    effective_cutoff = max(1, sat_min(cert.bound, cutoff))
+    # one past a bound below the cutoff, so an index above it can be observed
+    effective_cutoff = min(cutoff, sat_min(cert.bound, cutoff) + 1)
     kwargs = {} if ball_cap is None else {"cap": ball_cap}
     ball = context.ball(radius, **kwargs)
     domain = SearchDomain.from_ball(ball)

@@ -614,6 +614,25 @@ def test_theorem_bound_writes_the_v2_fixture(z2z2):
     assert check_certificate(parsed) is parsed.bound
 
 
+@pytest.mark.parametrize("word, forged, message", [
+    ("x1 y1", {"num_factors": 1, "radius": 2}, "the num_factors field: need at least 2 factors"),
+    ("", {"num_factors": 1}, "the num_factors field: need at least 2 factors"),
+    ("", {"radius": 0}, "the radius field: r must be >= 1"),
+    ("x1 y1", {"word": "x1 y1!"}, "the word field: unexpected character '!' (at position 6)"),
+    ("x1 y1", {"word": "x1@0 y1@1"}, "the word field: change of variables expects an unannotated word"),
+    ("x1 y1", {"rewritten": "x1@0 x2@1 y1@0 y2@"}, "the rewritten field: expected digits"),
+    ("x1 y1", {"rewritten": "x1 x2 y1 y2", "radius": None, "num_factors": None}, "the rewritten field: "),
+])
+def test_check_certificate_names_the_header_field(z2z2, word, forged, message):
+    from ladderlab import check_certificate
+
+    cert = replace(theorem_bound(parse_word(word), 1, z2z2.factors), **forged)
+    with pytest.raises(ValueError) as exc:
+        check_certificate(cert)
+    assert str(exc.value).startswith(message)
+    assert exc.value.__cause__ is not None  # the parser's or rewriter's own error
+
+
 def _with_fixtures(z2z2):
     return [load_v1_fixture(), theorem_bound(parse_word("x1 y1"), 1, z2z2.factors)]
 

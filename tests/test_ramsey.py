@@ -351,16 +351,20 @@ def test_upper_int_walks_shared_nodes_once(monkeypatch):
     for _ in range(40):
         deep = bv_max([bv_ramsey(64, bv_succ(deep)), bv_succ(deep)])
     calls = []
-    inner = ramsey._upper_int
+    inner = ramsey._compare_rule
 
-    def counted(v, memo):
-        calls.append(v)
-        return inner(v, memo)
+    def counted(key):
+        calls.append(key)
+        return inner(key)
 
-    monkeypatch.setattr(ramsey, "_upper_int", counted)
+    monkeypatch.setattr(ramsey, "_compare_rule", counted)
     assert ramsey.upper_int(deep) is None
-    # one call per reference to a node: at most two per node, plus the root
-    assert len(calls) <= 2 * len({id(v) for v in calls}) + 1
+    # one rule evaluation per distinct node, each written once to a pool
+    nodes = len(bound_to_json(deep)["values"])
+    assert len(calls) == len(set(calls)) == nodes == 3 * 40
+    calls.clear()
+    assert ramsey.upper_int(deep) is None
+    assert len(calls) == nodes  # the memo lives for one call
 
 
 def test_recurrence_sweeps_keep_no_module_tables():

@@ -298,9 +298,9 @@ def test_cmd_verify_inconclusive(spec_files, capsys):
             "--radius",
             "1",
             "--force-bound",
-            "1",
+            "5",
             "--cutoff",
-            "8",
+            "1",
             "--groups",
             spec_files["z2"],
             spec_files["z2"],
@@ -309,6 +309,19 @@ def test_cmd_verify_inconclusive(spec_files, capsys):
     )
     assert code == EXIT_INCONCLUSIVE
     assert json.loads(capsys.readouterr().out)["verdict"] == "CUTOFF_INCONCLUSIVE"
+
+
+def test_cmd_verify_index_equal_to_bound(spec_files, capsys):
+    # the empty word's bound is 1 and its index is 1: the search runs to one
+    # past the bound, so the bound is seen to hold, and a bound of 0 is not
+    argv = ["verify", "--word", "", "--radius", "1",
+            "--groups", spec_files["z2"], spec_files["z2"], "--json"]
+    assert run(argv) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["verdict"], doc["observed_index"], doc["cutoff"]) == ("VERIFIED", 1, 2)
+    assert run(argv + ["--force-bound", "0"]) == EXIT_VIOLATION
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["verdict"], doc["observed_index"], doc["cutoff"]) == ("VIOLATION", 1, 1)
 
 
 def test_cmd_verify_csv(spec_files, capsys):
@@ -450,8 +463,10 @@ def test_report_determinism(z2z3):
 
 def test_report_schema_on_inconclusive_and_violation(z2z2):
     w = parse_word("x1 y1")
-    for forced in (0, 1):
-        rep = run_verify(z2z2, w, 1, force_bound=forced)
+    inconclusive = run_verify(z2z2, w, 1, cutoff=1)
+    violation = run_verify(z2z2, w, 1, force_bound=0)
+    assert (inconclusive.verdict, violation.verdict) == ("CUTOFF_INCONCLUSIVE", "VIOLATION")
+    for rep in (inconclusive, violation):
         jsonschema.validate(rep.to_json(), REPORT_SCHEMA)
 
 
@@ -606,20 +621,52 @@ def test_check_cert_deep_bound_exits_cleanly(capsys, tmp_path, fmt):
         assert len(text.strip().splitlines()) == 1
 
 
-def test_recursion_error_maps_to_exit_3(capsys, tmp_path, monkeypatch):
-    from ladderlab import BoundCertificate, cli
-    from ladderlab.ramsey import upper_int
-
-    deep = BoundCertificate.from_json(deep_certificate())
-    with pytest.raises(RecursionError):
-        upper_int(deep.bound)
-    monkeypatch.setattr(cli, "check_certificate", lambda cert: upper_int(cert.bound))
+def test_recursion_error_maps_to_exit_3(capsys, tmp_path):
+    # a JSON file nested past the decoder's limit, as a certificate or as a
+    # group spec, is the one input that still raises RecursionError
     path = tmp_path / "deep.json"
-    path.write_text(json.dumps(deep_certificate()), encoding="utf-8")
-    assert run(["check-cert", str(path)]) == EXIT_RESOURCE
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: a bound value is nested too deeply to walk\n"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    for argv in (["check-cert", str(path)],
+                 ["verify", "--word", "x1 y1", "--radius", "1", "--groups", str(path), str(path)]):
+        assert run(argv) == EXIT_RESOURCE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a JSON file is nested too deeply to read\n"
+
+
+def test_deep_bounds_compare_without_recursion():
+    # the comparisons walk an explicit stack: the 5,000-level chains and the
+    # 2,000-level deep certificate answer under the default recursion limit
+    from ladderlab import BoundCertificate
+    from ladderlab.ramsey import BExact, BMax, BRamsey, BSucc, bv_exact, bv_ramsey, bv_succ, is_ge_int, le_bound, upper_int
+
+    alternating, value = BRamsey(2, BExact(3)), 6
+    for i in range(5000):
+        if i % 2:
+            alternating, value = BMax((alternating, BExact(i))), max(value, i)
+        else:
+            alternating, value = BSucc(alternating), value + 1
+    successors = bv_ramsey(64, bv_exact(10**30))
+    for _ in range(5000):
+        successors = BSucc(successors)
+    true_bound = BoundCertificate.from_json(json.loads(V1_FIXTURE.read_text(encoding="utf-8"))).bound
+    deep = BoundCertificate.from_json(deep_certificate()).bound
+    above = bv_succ(true_bound)
+    for _ in range(2000):
+        above = BSucc(BRamsey(5, above))
+    assert upper_int(alternating) == value
+    assert is_ge_int(alternating, 10**30) is None
+    assert le_bound(alternating, bv_succ(alternating)) is True
+    assert le_bound(bv_succ(alternating), alternating) is False
+    assert upper_int(successors) is None
+    assert is_ge_int(successors, 10**30 + 5000) is True
+    assert le_bound(successors, bv_succ(successors)) is True
+    assert le_bound(bv_succ(successors), successors) is None
+    assert le_bound(alternating, successors) is True
+    assert upper_int(deep) is None
+    assert is_ge_int(deep, 10**30) is True
+    assert le_bound(deep, above) is True
+    assert le_bound(deep, bv_succ(deep)) is True
 
 
 def test_cap_only_on_commands_that_build_a_ball(spec_files, capsys):
