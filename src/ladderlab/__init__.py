@@ -18,6 +18,7 @@ from .bounds import (
 from .errors import (
     AnnotationMismatch,
     ArityMismatch,
+    ArityTooLarge,
     AxiomViolation,
     BallTooLarge,
     BoundTooLarge,
@@ -29,6 +30,7 @@ from .errors import (
     LadderLabError,
     LengthExceedsRadius,
     MissingSuppliedIndex,
+    ResourceCapExceeded,
     SpecParseError,
     UnannotatedSyllable,
     WordParseError,

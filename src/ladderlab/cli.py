@@ -16,13 +16,7 @@ import sys
 from pathlib import Path
 
 from .bounds import BoundCertificate, check_base_indices, check_certificate, theorem_bound
-from .errors import (
-    BallTooLarge,
-    BoundTooLarge,
-    DomainTooLarge,
-    FactorTooLarge,
-    LadderLabError,
-)
+from .errors import LadderLabError, ResourceCapExceeded
 from .freeproduct import DEFAULT_BALL_CAP, FreeProduct
 from .groups import load_group
 from .ladder import DEFAULT_CUTOFF, SearchDomain, qf_stability_index, word_index
@@ -35,8 +29,6 @@ from .report import (
     serialize_witness,
 )
 from .words import parse_word
-
-RESOURCE_ERRORS = (BallTooLarge, DomainTooLarge, BoundTooLarge, FactorTooLarge)
 
 
 def _load_context(paths: list[str]) -> FreeProduct:
@@ -168,6 +160,8 @@ def cmd_check_cert(args) -> int:
         check_certificate(cert)
         if factors is not None:
             payload["bases_searched"] = check_base_indices(cert, factors)
+    except ResourceCapExceeded:
+        raise
     except (ValueError, TypeError, LadderLabError) as exc:
         payload.update(valid=False, error=str(exc))
     if payload["valid"]:
@@ -286,7 +280,7 @@ def main(argv=None) -> int:
         parser.error("index needs exactly one of --radius or --factor")
     try:
         return args.func(args)
-    except RESOURCE_ERRORS as exc:
+    except ResourceCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (LadderLabError, OSError, ValueError) as exc:

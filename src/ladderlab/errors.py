@@ -7,6 +7,10 @@ class LadderLabError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class ResourceCapExceeded(LadderLabError):
+    """A predicted size exceeds one of the package's resource caps."""
+
+
 class SpecParseError(LadderLabError):
     """A group spec document is malformed."""
 
@@ -31,7 +35,7 @@ class ContextMismatch(LadderLabError):
     """Words from different free-product contexts were combined."""
 
 
-class BallTooLarge(LadderLabError):
+class BallTooLarge(ResourceCapExceeded):
     """Predicted ball size exceeds the configured cap."""
 
     def __init__(self, cap: int, predicted: int):
@@ -68,7 +72,7 @@ class LengthExceedsRadius(LadderLabError):
     """A word is too long to embed into the change-of-variables template."""
 
 
-class DomainTooLarge(LadderLabError):
+class DomainTooLarge(ResourceCapExceeded):
     """Predicted ladder-search branching exceeds the configured cap."""
 
     def __init__(self, cap: int, predicted: int):
@@ -79,13 +83,23 @@ class DomainTooLarge(LadderLabError):
         self.predicted = predicted
 
 
+class ArityTooLarge(ResourceCapExceeded):
+    """A word search's rows would hold more cells (arity x rows, summed over
+    both tuples) than the configured cap."""
+
+    def __init__(self, cap: int, predicted: int):
+        super().__init__(f"predicted row cells {predicted} (arity x rows) exceed cap {cap}")
+        self.cap = cap
+        self.predicted = predicted
+
+
 class MissingSuppliedIndex(LadderLabError):
     """An infinite stub factor has no supplied index for a queried word shape."""
 
 
-class FactorTooLarge(LadderLabError):
+class FactorTooLarge(ResourceCapExceeded):
     """A factor's order exceeds ``groups.MAX_FACTOR_ORDER``."""
 
 
-class BoundTooLarge(LadderLabError):
+class BoundTooLarge(ResourceCapExceeded):
     """An exact integer was requested for a bound too large to materialize."""

@@ -23,13 +23,13 @@ from itertools import product
 from math import prod
 from typing import Callable, Sequence
 
-from .errors import ArityMismatch, DomainTooLarge, MissingSuppliedIndex
+from .errors import ArityMismatch, ArityTooLarge, DomainTooLarge, MissingSuppliedIndex
 from .freeproduct import Ball, FreeProduct
 from .groups import FactorElement, FactorGroup
 from .words import GroupWord, evaluate_in_group, evaluates_to_identity, shape_key
 
 DEFAULT_CUTOFF = 8
-BRANCH_CAP = 10**7  # row pairs (|A| x |B|) a ladder search may range over
+BRANCH_CAP = 10**7  # row pairs (|A| x |B|) a ladder search may range over, and its row cells
 
 
 @dataclass(frozen=True)
@@ -268,9 +268,17 @@ def _coordinate_domains(
     """Per-coordinate domains for searching w as written: ``domain`` at each
     position w uses, and a one-value domain holding its least value at each
     position it does not. Their product lists the rows of a search over the
-    used coordinates alone, in the same order, each padded with that value."""
-    least = SearchDomain(domain.kind, domain.values[:1])
+    used coordinates alone, in the same order, each padded with that value.
+    Before anything is built, raises DomainTooLarge as max_ladder would, and
+    ArityTooLarge if those rows would hold more than BRANCH_CAP cells."""
     used = {(s.symbol.tuple_name, s.symbol.position) for s in w.syllables}
+    a_count, b_count = (len(domain.values) ** sum(t == name for t, _ in used) for name in "xy")
+    if a_count * b_count > BRANCH_CAP:
+        raise DomainTooLarge(BRANCH_CAP, a_count * b_count)
+    cells = w.arity_x * a_count + w.arity_y * b_count
+    if cells > BRANCH_CAP:
+        raise ArityTooLarge(BRANCH_CAP, cells)
+    least = SearchDomain(domain.kind, domain.values[:1])
 
     def domains(name: str, arity: int) -> list[SearchDomain]:
         return [domain if (name, p) in used else least for p in range(1, arity + 1)]

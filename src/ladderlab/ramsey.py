@@ -27,6 +27,7 @@ the recurrence, each property-tested against the naive recursion:
 from __future__ import annotations
 
 import math
+import re
 import weakref
 from collections import Counter
 from typing import Iterable
@@ -224,7 +225,6 @@ class BoundValue:
     exist before their parents, so no walk over the value is ever needed."""
 
     __slots__ = ("_hash", "_key", "_sat", "__weakref__")
-    kind = "abstract"
 
     def __new__(cls, *fields):
         if len(fields) != len(cls.__slots__):
@@ -256,7 +256,6 @@ class BoundValue:
 
 class BExact(BoundValue):
     __slots__ = ("value",)
-    kind = "exact"
 
     def __new__(cls, value: int):
         if value < 0:
@@ -269,7 +268,6 @@ class BExact(BoundValue):
 
 class BSucc(BoundValue):
     __slots__ = ("base",)
-    kind = "succ"
 
     def _structure(self):
         h = hash((1, self.base._hash))
@@ -278,7 +276,6 @@ class BSucc(BoundValue):
 
 class BMax(BoundValue):
     __slots__ = ("items",)
-    kind = "max"
 
     def _structure(self):
         h = hash((2,) + tuple(i._hash for i in self.items))
@@ -287,7 +284,6 @@ class BMax(BoundValue):
 
 class BRamsey(BoundValue):
     __slots__ = ("colors", "target")
-    kind = "ramsey"
 
     def _structure(self):
         h = hash((3, self.colors, self.target._hash))
@@ -399,9 +395,13 @@ class BoundPool:
         return len(self.nodes) - 1
 
 
+_DECIMAL = re.compile(r"0|[1-9][0-9]*")  # an exact value as BoundPool writes it
+
+
 def pool_to_values(nodes: list[dict]) -> list[BoundValue]:
-    """The values of a pool written by ``BoundPool``; a child reference that
-    is not the id of an earlier node raises ValueError."""
+    """The values of a pool written by ``BoundPool``; ValueError for a child
+    reference that is not the id of an earlier node, or a number written
+    otherwise than ``BoundPool`` writes it."""
     values: list[BoundValue] = []
 
     def child(vid) -> BoundValue:
@@ -412,13 +412,19 @@ def pool_to_values(nodes: list[dict]) -> list[BoundValue]:
     for node in nodes:
         kind = node.get("kind")
         if kind == "exact":
-            values.append(BExact(int(node["value"])))
+            text = node["value"]
+            if type(text) is not str or not _DECIMAL.fullmatch(text):
+                raise ValueError(f"value {len(values)} is {text!r}, not a decimal string")
+            values.append(BExact(int(text)))
         elif kind == "succ":
             values.append(BSucc(child(node["of"])))
         elif kind == "max":
             values.append(BMax(tuple(child(i) for i in node["of"])))
         elif kind == "ramsey":
-            values.append(BRamsey(int(node["colors"]), child(node["target"])))
+            colors = node["colors"]
+            if type(colors) is not int:
+                raise ValueError(f"value {len(values)} has colors {colors!r}, not an integer")
+            values.append(BRamsey(colors, child(node["target"])))
         else:
             raise ValueError(f"unknown bound value kind {kind!r}")
     return values
@@ -432,7 +438,11 @@ def bound_to_json(v: BoundValue) -> dict:
 
 
 def bound_from_json(doc: dict) -> BoundValue:
-    return pool_to_values(doc["values"])[doc["root"]]
+    values = pool_to_values(doc["values"])
+    root = doc["root"]
+    if type(root) is not int or not 0 <= root < len(values):
+        raise ValueError(f"root refers to {root!r}, not to a value of the pool")
+    return values[root]
 
 
 # -- comparisons --------------------------------------------------------------

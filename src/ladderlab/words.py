@@ -10,6 +10,7 @@ the change of variables.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -112,87 +113,53 @@ def concat_words(u: GroupWord, v: GroupWord) -> GroupWord:
 #
 # word := item { item } | "" ;  item := atom [ "^-1" ] ;
 # atom := var | "(" word ")" ;  var := ("x"|"y") digits [ "@" digits ]
+#
+# Digits are decimal digits (any script's); whitespace is str.isspace.
 
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, message: str) -> WordParseError:
-        return WordParseError(message, position=self.pos + 1)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def read_digits(self, what: str) -> int:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise self.error(f"expected digits for {what}")
-        return int(self.text[start : self.pos])
-
-    def parse_var(self) -> VariableSymbol:
-        tuple_name = self.peek()
-        self.pos += 1
-        var_pos = self.pos
-        position = self.read_digits("variable position")
-        if position < 1:
-            raise WordParseError("variable positions are 1-based", position=var_pos)
-        annotation = None
-        if self.peek() == "@":
-            self.pos += 1
-            annotation = self.read_digits("factor annotation")
-        return VariableSymbol(tuple_name, position, annotation)
-
-    def parse_inverse_marker(self) -> bool:
-        if self.peek() == "^":
-            mark = self.pos
-            if self.text[self.pos : self.pos + 3] == "^-1":
-                self.pos += 3
-                return True
-            self.pos = mark
-            raise self.error("expected '^-1'")
-        return False
-
-    def parse_word(self) -> list[Syllable]:
-        """The syllables of the whole text. Open groups wait on an explicit
-        stack, so nesting depth costs no recursion."""
-        groups: list[list[Syllable]] = [[]]  # the word, then each open "(" group
-        while True:
-            self.skip_ws()
-            ch = self.peek()
-            if ch == "(":
-                self.pos += 1
-                groups.append([])
-                continue
-            if ch == ")" and len(groups) > 1:
-                self.pos += 1
-                syllables = groups.pop()
-            elif ch in ("x", "y"):
-                syllables = [Syllable(self.parse_var(), 1)]
-            elif ch:
-                raise self.error(f"unexpected character {ch!r}")
-            elif len(groups) > 1:
-                raise self.error("unbalanced parenthesis")
-            else:
-                return groups[0]
-            if self.parse_inverse_marker():
-                syllables = [s.inverse() for s in reversed(syllables)]
-            groups[-1].extend(syllables)
+_VARIABLE = re.compile(r"([xy])(\d*)(@(\d*))?")
 
 
 def parse_word(text: str) -> GroupWord:
-    """Parse the word DSL into a GroupWord; raises WordParseError with position."""
-    parser = _Parser(text)
-    syllables = parser.parse_word()
+    """Parse the word DSL into a GroupWord; raises WordParseError with position.
+    Open groups wait on an explicit stack, so nesting depth costs no recursion."""
+    groups: list[list[Syllable]] = [[]]  # the word, then each open "(" group
+    pos = 0
+    while True:
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+        ch = text[pos : pos + 1]
+        if ch == "(":
+            pos += 1
+            groups.append([])
+            continue
+        if ch == ")" and len(groups) > 1:
+            pos += 1
+            syllables = groups.pop()
+        elif var := _VARIABLE.match(text, pos):
+            name, digits, at, annotation = var.groups()
+            if not digits:
+                raise WordParseError("expected digits for variable position", position=pos + 2)
+            if int(digits) < 1:
+                raise WordParseError("variable positions are 1-based", position=pos + 1)
+            if at and not annotation:
+                raise WordParseError("expected digits for factor annotation", position=var.end() + 1)
+            pos = var.end()
+            symbol = VariableSymbol(name, int(digits), int(annotation) if at else None)
+            syllables = [Syllable(symbol, 1)]
+        elif ch:
+            raise WordParseError(f"unexpected character {ch!r}", position=pos + 1)
+        elif len(groups) > 1:
+            raise WordParseError("unbalanced parenthesis", position=pos + 1)
+        else:
+            break
+        if text.startswith("^", pos):
+            if not text.startswith("^-1", pos):
+                raise WordParseError("expected '^-1'", position=pos + 1)
+            pos += 3
+            syllables = [s.inverse() for s in reversed(syllables)]
+        groups[-1].extend(syllables)
     try:
-        return GroupWord.from_syllables(syllables)
+        return GroupWord.from_syllables(groups[0])
     except AnnotationMismatch as exc:
         raise WordParseError(str(exc)) from exc
 

@@ -8,6 +8,7 @@ import pytest
 
 from ladderlab import (
     ArityMismatch,
+    ArityTooLarge,
     ContextMismatch,
     DomainTooLarge,
     Formula,
@@ -23,6 +24,7 @@ from ladderlab import (
     parse_word,
     qf_stability_index,
     word_formula,
+    word_index,
 )
 
 from conftest import naive_max_ladder, reference_max_ladder
@@ -160,6 +162,24 @@ def test_domain_too_large(z3s3):
     with pytest.raises(DomainTooLarge) as info:
         max_ladder(f, ball_domain(z3s3, 4))
     assert (info.value.cap, info.value.predicted) == (10**7, 298**4)
+
+
+def test_arity_too_large(z2, z2z2, z3s3):
+    # rows of arity x |rows| cells over the cap: refused before the search
+    # builds one coordinate domain per position
+    wide = parse_word("x1 y5000000")
+    for search, predicted in ((lambda w, d: qf_stability_index(z2, w), 2 + 5_000_000 * 2),
+                              (lambda w, d: word_index(z2z2, w, d), 3 + 5_000_000 * 3)):
+        with pytest.raises(ArityTooLarge) as info:
+            search(wide, ball_domain(z2z2, 1))
+        assert (info.value.cap, info.value.predicted) == (10**7, predicted)
+    # a branching over the cap is refused first, as max_ladder would refuse it
+    with pytest.raises(DomainTooLarge) as info:
+        word_index(z3s3, parse_word("x1 x999999999 y1 y2"), ball_domain(z3s3, 4))
+    assert (info.value.cap, info.value.predicted) == (10**7, 298**4)
+    # a high position over few rows is searched; unused positions take one value
+    high = word_index(z2z2, parse_word("x5000 y1"), ball_domain(z2z2, 1))
+    assert high.index == word_index(z2z2, parse_word("x1 y1"), ball_domain(z2z2, 1)).index
 
 
 def test_qf_stability_index_z2(z2):

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import random
+import re
 from functools import lru_cache
 
 import pytest
@@ -161,6 +162,28 @@ def test_materialized_values_convert_to_str():
     assert isinstance(big, BRamsey)
     assert render_bound(big) == "R(2,2,7200)"
     assert bound_from_json(bound_to_json(big)) is big
+
+
+@pytest.mark.parametrize("root", [-1, 3, True, 1.0, "0", None])
+def test_bound_from_json_checks_the_root(root):
+    v = BSucc(BRamsey(2, BExact(3)))
+    doc = bound_to_json(v)  # three values, v the last
+    assert bound_from_json(dict(doc, root=2)) is v
+    with pytest.raises(ValueError, match=f"^root refers to {re.escape(repr(root))},"):
+        bound_from_json(dict(doc, root=root))
+
+
+@pytest.mark.parametrize("node", [{"kind": "exact", "value": text} for text in ("0", "7", "10")])
+def test_pool_reads_exact_values_as_bound_pool_writes_them(node):
+    assert ramsey.pool_to_values([node]) == [BExact(int(node["value"]))]
+
+
+@pytest.mark.parametrize("node", [
+    {"kind": "exact", "value": text} for text in (" +2", "02", "00", "-1", "2.0", "\u0662", "", 2, True, None)
+] + [{"kind": "ramsey", "colors": colors, "target": 0} for colors in (64.5, True, "300", None)])
+def test_pool_rejects_numbers_bound_pool_does_not_write(node):
+    with pytest.raises(ValueError, match="^value 1 "):
+        ramsey.pool_to_values([{"kind": "exact", "value": "3"}, node])
 
 
 def test_le_bound_past_the_str_digit_limit():

@@ -186,6 +186,21 @@ def test_cmd_index_rejects_a_cutoff_below_one(spec_files, capsys):
     assert "cutoff must be >= 1" in capsys.readouterr().err
 
 
+def test_cmd_index_arity_cap_exits_3(spec_files, capsys):
+    # one coordinate domain per position would be a billion list entries
+    argv = ["index", "--word", "x999999999 y1", "--radius", "1", "--groups", spec_files["z2"], spec_files["z2"]]
+    assert run(argv) == EXIT_RESOURCE
+    err = capsys.readouterr().err
+    assert err == "error: predicted row cells 3000000000 (arity x rows) exceed cap 10000000\n"
+
+
+@pytest.mark.parametrize("command", ["bound", "verify"])
+def test_high_positions_over_few_rows_are_searched(spec_files, command):
+    # rewritten positions reach 15,000, but each block ranges over 2 rows
+    argv = [command, "--word", "x5000 y1", "--radius", "2", "--groups", spec_files["z2"], spec_files["z2"]]
+    assert run(argv) == EXIT_OK
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -565,6 +580,21 @@ def test_check_cert_searches_base_indices_only_with_groups(spec_files, capsys, t
     assert "range (0, 0) records indices (2, 2); the search gives (1, 2)" in capsys.readouterr().out
 
 
+def test_check_cert_groups_resource_cap_exits_3(spec_files, capsys, tmp_path, z2z2):
+    from ladderlab import block_decompose, change_of_variables, lemma_bound
+
+    # a consistent certificate whose base blocks are too wide to search again
+    word = "x999999999 y1"
+    decomp = block_decompose(change_of_variables(parse_word(word), 1, 2))
+    cert = lemma_bound(decomp, lambda f, b, n: 1, factors=z2z2.factors, word_text=word, radius=1)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert.to_json()), encoding="utf-8")
+    assert run(["check-cert", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    assert run(["check-cert", str(path), "--groups", spec_files["z2"], spec_files["z2"]]) == EXIT_RESOURCE
+    assert capsys.readouterr().err.startswith("error: predicted row cells ")
+
+
 def test_check_cert_malformed_files_exit_2(capsys, tmp_path):
     doc = json.loads(V1_FIXTURE.read_text(encoding="utf-8"))
     for mutate in (lambda d: d.update(format="ladderlab-certificate@0"), lambda d: d.pop("ranges")):
@@ -577,6 +607,26 @@ def test_check_cert_malformed_files_exit_2(capsys, tmp_path):
     path.write_text("{", encoding="utf-8")
     assert run(["check-cert", str(path)]) == EXIT_PARSE
     assert run(["check-cert", str(tmp_path / "absent.json")]) == EXIT_PARSE
+
+
+# each edit of the fixture's pool reads as the same number with int(), but is
+# not what BoundPool writes: value 5 is R(64, 2, .), value 0 is exact 2
+POOL_EDITS = [(5, "colors", 64.5), (5, "colors", True), (5, "colors", "64"),
+              (0, "value", " +2"), (0, "value", 2), (0, "value", "02")]
+
+
+@pytest.mark.parametrize("vid, key, edited", POOL_EDITS)
+def test_check_cert_reads_the_pool_strictly(spec_files, capsys, tmp_path, vid, key, edited):
+    from ladderlab import BoundCertificate
+
+    doc = json.loads(V2_FIXTURE.read_text(encoding="utf-8"))
+    doc["values"][vid][key] = edited
+    with pytest.raises(ValueError, match=f"^value {vid} "):
+        BoundCertificate.from_json(doc)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["check-cert", str(path), "--groups", spec_files["z2"], spec_files["z2"]]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith(f"error: value {vid} ")
 
 
 def test_check_cert_compares_lengths_before_building_the_template(capsys, tmp_path):

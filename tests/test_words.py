@@ -101,6 +101,16 @@ def test_parse_unbalanced_positions():
         assert str(exc.value) == message
 
 
+def test_parse_non_decimal_digit_positions():
+    # "²" is a digit but not a decimal digit, so it is no position or annotation
+    for text, position in (("x²", 2), ("x1@²", 4)):
+        with pytest.raises(WordParseError) as exc:
+            parse_word(text)
+        assert exc.value.position == position
+    # a decimal digit of another script still reads as its value
+    assert parse_word("x\u0661") == parse_word("x1")
+
+
 def test_parse_empty():
     w = parse_word("")
     assert len(w) == 0
