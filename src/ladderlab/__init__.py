@@ -68,7 +68,6 @@ from .words import (
     BlockDecomposition,
     GroupWord,
     Syllable,
-    VariableSymbol,
     block_decompose,
     change_of_variables,
     concat_words,

@@ -54,6 +54,7 @@ from .words import (
 )
 
 CASES_PER_BLOCK = 4  # pair-orientation outcome cases per block coordinate
+COLORING = {"cases_per_block": CASES_PER_BLOCK, "rule": "product over block coordinates"}
 
 FORMAT_V1 = "ladderlab-certificate@1"  # every proper subrange
 FORMAT_V2 = "ladderlab-certificate@2"  # the two maximal children
@@ -261,10 +262,7 @@ class BoundCertificate:
             "ell": self.ell,
             "radius": self.radius,
             "num_factors": self.num_factors,
-            "coloring": {
-                "cases_per_block": CASES_PER_BLOCK,
-                "rule": "product over block coordinates",
-            },
+            "coloring": dict(COLORING),
             "root": list(self.root) if self.root is not None else None,
             "ranges": range_docs,
             "values": pool.nodes,
@@ -273,7 +271,8 @@ class BoundCertificate:
     @classmethod
     def from_json(cls, doc: dict) -> "BoundCertificate":
         """Parse a certificate document of either format; ValueError if the
-        format is unknown or a field is missing or has the wrong type."""
+        format is unknown, a field is missing or has the wrong type, or
+        ``bound_text`` or ``coloring`` differs from what ``to_json`` writes."""
         fmt = _field(doc, "format", str)
         _subranges(fmt)  # ValueError for an unknown format
         try:
@@ -286,8 +285,13 @@ class BoundCertificate:
             if (rc.start, rc.stop) in ranges:
                 raise ValueError(f"range {(rc.start, rc.stop)} is listed twice")
             ranges[(rc.start, rc.stop)] = rc
+        bound = _ref(doc, "bound", values)
+        if _field(doc, "bound_text", str) != bound.render():
+            raise ValueError("certificate field 'bound_text' is not the rendering of its bound")
+        if _field(doc, "coloring", dict) != COLORING:
+            raise ValueError(f"certificate field 'coloring' is not the product coloring of {CASES_PER_BLOCK} cases per block")
         return cls(
-            bound=_ref(doc, "bound", values),
+            bound=bound,
             word=_field(doc, "word", str),
             rewritten=_field(doc, "rewritten", str),
             ell=_field(doc, "ell", int),

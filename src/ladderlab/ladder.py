@@ -271,7 +271,7 @@ def _coordinate_domains(
     used coordinates alone, in the same order, each padded with that value.
     Before anything is built, raises DomainTooLarge as max_ladder would, and
     ArityTooLarge if those rows would hold more than BRANCH_CAP cells."""
-    used = {(s.symbol.tuple_name, s.symbol.position) for s in w.syllables}
+    used = {(s.tuple_name, s.position) for s in w.syllables}
     a_count, b_count = (len(domain.values) ** sum(t == name for t, _ in used) for name in "xy")
     if a_count * b_count > BRANCH_CAP:
         raise DomainTooLarge(BRANCH_CAP, a_count * b_count)

@@ -27,30 +27,26 @@ from .groups import FactorElement, FactorGroup
 
 
 @dataclass(frozen=True)
-class VariableSymbol:
-    """A variable in the x- or y-tuple, optionally annotated with a factor."""
+class Syllable:
+    """A variable of the x- or y-tuple, optionally annotated with a factor,
+    raised to the exponent +1 or -1."""
 
     tuple_name: str  # "x" | "y"
     position: int  # 1-based
+    exponent: int  # +1 | -1
     annotation: int | None = None
 
-    def render(self) -> str:
+    def render_variable(self) -> str:
         base = f"{self.tuple_name}{self.position}"
         if self.annotation is not None:
             base += f"@{self.annotation}"
         return base
 
-
-@dataclass(frozen=True)
-class Syllable:
-    symbol: VariableSymbol
-    exponent: int  # +1 | -1
-
     def render(self) -> str:
-        return self.symbol.render() + ("^-1" if self.exponent < 0 else "")
+        return self.render_variable() + ("^-1" if self.exponent < 0 else "")
 
     def inverse(self) -> "Syllable":
-        return Syllable(self.symbol, -self.exponent)
+        return Syllable(self.tuple_name, self.position, -self.exponent, self.annotation)
 
 
 @dataclass(frozen=True)
@@ -67,27 +63,24 @@ class GroupWord:
         ax = ay = 0
         annotated = None
         for s in syllables:
-            sym = s.symbol
-            if sym.tuple_name not in ("x", "y") or sym.position < 1:
-                raise WordParseError(f"bad variable {sym.render()!r}")
+            if s.tuple_name not in ("x", "y") or s.position < 1:
+                raise WordParseError(f"bad variable {s.render_variable()!r}")
             if s.exponent not in (1, -1):
-                raise WordParseError(f"bad exponent {s.exponent} on {sym.render()!r}")
-            has = sym.annotation is not None
+                raise WordParseError(f"bad exponent {s.exponent} on {s.render_variable()!r}")
+            has = s.annotation is not None
             if annotated is None:
                 annotated = has
             elif annotated != has:
-                raise AnnotationMismatch(
-                    "word mixes annotated and unannotated syllables"
-                )
-            if sym.tuple_name == "x":
-                ax = max(ax, sym.position)
+                raise AnnotationMismatch("word mixes annotated and unannotated syllables")
+            if s.tuple_name == "x":
+                ax = max(ax, s.position)
             else:
-                ay = max(ay, sym.position)
+                ay = max(ay, s.position)
         return cls(syllables, ax, ay)
 
     @property
     def annotated(self) -> bool:
-        return bool(self.syllables) and self.syllables[0].symbol.annotation is not None
+        return bool(self.syllables) and self.syllables[0].annotation is not None
 
     def __len__(self) -> int:
         return len(self.syllables)
@@ -96,9 +89,7 @@ class GroupWord:
         return " ".join(s.render() for s in self.syllables)
 
     def formal_inverse(self) -> "GroupWord":
-        return GroupWord.from_syllables(
-            tuple(s.inverse() for s in reversed(self.syllables))
-        )
+        return GroupWord.from_syllables(tuple(s.inverse() for s in reversed(self.syllables)))
 
     def slice(self, start: int, stop: int) -> "GroupWord":
         return GroupWord.from_syllables(self.syllables[start:stop])
@@ -114,7 +105,8 @@ def concat_words(u: GroupWord, v: GroupWord) -> GroupWord:
 # word := item { item } | "" ;  item := atom [ "^-1" ] ;
 # atom := var | "(" word ")" ;  var := ("x"|"y") digits [ "@" digits ]
 #
-# Digits are decimal digits (any script's); whitespace is str.isspace.
+# Digits are decimal digits (any script's), at most 4,300 to a number, the
+# limit of CPython's int(); whitespace is str.isspace.
 
 _VARIABLE = re.compile(r"([xy])(\d*)(@(\d*))?")
 
@@ -139,13 +131,18 @@ def parse_word(text: str) -> GroupWord:
             name, digits, at, annotation = var.groups()
             if not digits:
                 raise WordParseError("expected digits for variable position", position=pos + 2)
-            if int(digits) < 1:
+            numbers = []
+            for group in (2, 4):
+                try:
+                    numbers.append(int(var[group] or 0))
+                except ValueError:  # more digits than int() reads
+                    raise WordParseError("too many digits", position=var.start(group) + 1) from None
+            if numbers[0] < 1:
                 raise WordParseError("variable positions are 1-based", position=pos + 1)
             if at and not annotation:
                 raise WordParseError("expected digits for factor annotation", position=var.end() + 1)
             pos = var.end()
-            symbol = VariableSymbol(name, int(digits), int(annotation) if at else None)
-            syllables = [Syllable(symbol, 1)]
+            syllables = [Syllable(name, numbers[0], 1, numbers[1] if at else None)]
         elif ch:
             raise WordParseError(f"unexpected character {ch!r}", position=pos + 1)
         elif len(groups) > 1:
@@ -184,8 +181,7 @@ def _runs(
             f"word arities ({w.arity_x},{w.arity_y})"
         )
     for s in w.syllables:
-        sym = s.symbol
-        value = (a_values if sym.tuple_name == "x" else b_values)[sym.position - 1]
+        value = (a_values if s.tuple_name == "x" else b_values)[s.position - 1]
         if value.context is not context:
             raise ContextMismatch("assignment value from a different context")
         yield value.letters, s.exponent < 0
@@ -226,8 +222,7 @@ def evaluate_in_group(
         )
     result = group.identity
     for s in w.syllables:
-        sym = s.symbol
-        e = (a_elems if sym.tuple_name == "x" else b_elems)[sym.position - 1]
+        e = (a_elems if s.tuple_name == "x" else b_elems)[s.position - 1]
         if s.exponent < 0:
             e = group.inv(e)
         result = group.mul(result, e)
@@ -264,12 +259,9 @@ def change_of_variables(w: GroupWord, r: int, k: int) -> GroupWord:
     t = template_length(r, k)
     out: list[Syllable] = []
     for s in w.syllables:
-        base = (s.symbol.position - 1) * t
+        base = (s.position - 1) * t
         expansion = [
-            Syllable(
-                VariableSymbol(s.symbol.tuple_name, base + slot + 1, template_factor(slot, k)),
-                1,
-            )
+            Syllable(s.tuple_name, base + slot + 1, 1, template_factor(slot, k))
             for slot in range(t)
         ]
         if s.exponent < 0:
@@ -304,16 +296,13 @@ class BlockDecomposition:
 def block_decompose(w: GroupWord) -> BlockDecomposition:
     """Split an annotated word into maximal same-factor runs."""
     for s in w.syllables:
-        if s.symbol.annotation is None:
+        if s.annotation is None:
             raise UnannotatedSyllable(f"syllable {s.render()!r} has no annotation")
     blocks: list[Block] = []
     start = 0
     for i in range(1, len(w.syllables) + 1):
-        if (
-            i == len(w.syllables)
-            or w.syllables[i].symbol.annotation != w.syllables[start].symbol.annotation
-        ):
-            blocks.append(Block(w.syllables[start].symbol.annotation, start, i))
+        if i == len(w.syllables) or w.syllables[i].annotation != w.syllables[start].annotation:
+            blocks.append(Block(w.syllables[start].annotation, start, i))
             start = i
     return BlockDecomposition(w, tuple(blocks), len(blocks))
 
@@ -373,14 +362,10 @@ def canonicalize_word(w: GroupWord) -> GroupWord:
     maps: dict[str, dict[int, int]] = {"x": {}, "y": {}}
     out = []
     for s in w.syllables:
-        m = maps[s.symbol.tuple_name]
-        if s.symbol.position not in m:
-            m[s.symbol.position] = len(m) + 1
-        out.append(
-            Syllable(
-                VariableSymbol(s.symbol.tuple_name, m[s.symbol.position]), s.exponent
-            )
-        )
+        m = maps[s.tuple_name]
+        if s.position not in m:
+            m[s.position] = len(m) + 1
+        out.append(Syllable(s.tuple_name, m[s.position], s.exponent))
     return GroupWord.from_syllables(out)
 
 

@@ -205,8 +205,7 @@ def reference_evaluate(context, w, a_values, b_values):
     stack: list = []
     factors = context.factors
     for s in w.syllables:
-        sym = s.symbol
-        value = (a_values if sym.tuple_name == "x" else b_values)[sym.position - 1]
+        value = (a_values if s.tuple_name == "x" else b_values)[s.position - 1]
         if value.context is not context:
             raise ContextMismatch("assignment value from a different context")
         if s.exponent < 0:

@@ -30,7 +30,7 @@ from ladderlab import (
     verify_certificate,
 )
 from ladderlab.ramsey import ramsey_exact
-from ladderlab.words import GroupWord, Syllable, VariableSymbol, canonicalize_word
+from ladderlab.words import GroupWord, Syllable, canonicalize_word
 
 from conftest import alternating_ball_count
 
@@ -103,7 +103,7 @@ def test_criterion_3_ramsey_sanity():
 
 
 SYLLABLE_CHOICES = [
-    Syllable(VariableSymbol(t, p), e)
+    Syllable(t, p, e)
     for t in ("x", "y")
     for p in (1, 2)
     for e in (1, -1)

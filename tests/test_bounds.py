@@ -254,11 +254,11 @@ def test_theorem_bound_dominates_random_words(z2z2, z2z3, z3z3):
     # randomized slice of the central soundness property: for arbitrary words
     # the searched index never exceeds the certified bound
     from ladderlab import run_verify
-    from ladderlab.words import GroupWord, Syllable, VariableSymbol
+    from ladderlab.words import GroupWord, Syllable
 
     rng = random.Random(4242)
     choices = [
-        Syllable(VariableSymbol(t, p), e)
+        Syllable(t, p, e)
         for t in ("x", "y")
         for p in (1, 2)
         for e in (1, -1)

@@ -7,7 +7,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from ladderlab import parse_word, run_verify
+from ladderlab import bound_from_json, parse_word, run_verify
 from ladderlab.cli import main
 from ladderlab.report import (
     EXIT_INCONCLUSIVE,
@@ -184,6 +184,13 @@ def test_cmd_index_rejects_a_cutoff_below_one(spec_files, capsys):
     assert run(["index", "--word", "x1 y1", "--factor", "0", "--cutoff", "-3"] + groups) == EXIT_PARSE
     assert run(["index", "--word", "x1 y1", "--radius", "1", "--cutoff", "0"] + groups) == EXIT_PARSE
     assert "cutoff must be >= 1" in capsys.readouterr().err
+
+
+def test_cmd_index_too_many_digits_is_a_parse_error(spec_files, capsys):
+    argv = ["index", "--word", "x" + "1" * 5000, "--radius", "1", "--groups", spec_files["z2"], spec_files["z2"]]
+    assert run(argv) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith("(at position 2)\n")
 
 
 def test_cmd_index_arity_cap_exits_3(spec_files, capsys):
@@ -552,6 +559,7 @@ def test_check_cert_rejects_a_forged_file(spec_files, capsys, tmp_path):
     doc = write_bound(spec_files, capsys, path)
     # claim the smallest exact value in the pool as the bound
     doc["bound"] = next(i for i, node in enumerate(doc["values"]) if node["kind"] == "exact")
+    doc["bound_text"] = doc["values"][doc["bound"]]["value"]
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert run(["check-cert", str(path)]) == EXIT_PARSE
     out = capsys.readouterr().out
@@ -629,6 +637,28 @@ def test_check_cert_reads_the_pool_strictly(spec_files, capsys, tmp_path, vid, k
     assert capsys.readouterr().err.startswith(f"error: value {vid} ")
 
 
+# a bound_text that does not render the bound, and a coloring with other
+# cases per block: the rule walk reads neither, so from_json checks both
+HEADER_EDITS = [("bound_text", "1"),
+                ("coloring", {"cases_per_block": 2, "rule": "product over block coordinates"})]
+
+
+@pytest.mark.parametrize("key, edited", HEADER_EDITS)
+def test_check_cert_rejects_a_forged_bound_text_or_coloring(spec_files, capsys, tmp_path, key, edited):
+    from ladderlab import BoundCertificate
+
+    path = tmp_path / "cert.json"
+    doc = write_bound(spec_files, capsys, path)
+    BoundCertificate.from_json(doc)
+    doc[key] = edited
+    with pytest.raises(ValueError, match=f"^certificate field '{key}' "):
+        BoundCertificate.from_json(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for groups in ([], ["--groups", spec_files["z2"], spec_files["z2"]]):
+        assert run(["check-cert", str(path)] + groups) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith(f"error: certificate field '{key}' ")
+
+
 def test_check_cert_compares_lengths_before_building_the_template(capsys, tmp_path):
     from ladderlab import BoundCertificate, check_certificate
 
@@ -656,6 +686,7 @@ def deep_certificate(levels=2000) -> dict:
         values.append({"kind": "succ", "of": len(values) - 1})
         top = len(values) - 1
     doc["bound"] = top
+    doc["bound_text"] = bound_from_json({"values": values, "root": top}).render()
     return doc
 
 

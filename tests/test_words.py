@@ -33,7 +33,7 @@ from conftest import reference_evaluate, reference_reduce
 
 
 def syllables_of(w):
-    return [(s.symbol.tuple_name, s.symbol.position, s.symbol.annotation, s.exponent) for s in w.syllables]
+    return [(s.tuple_name, s.position, s.annotation, s.exponent) for s in w.syllables]
 
 
 def test_parse_commutator():
@@ -111,6 +111,15 @@ def test_parse_non_decimal_digit_positions():
     assert parse_word("x\u0661") == parse_word("x1")
 
 
+def test_parse_too_many_digits_positions():
+    # CPython's int() reads at most 4,300 digits by default; a longer
+    # position or annotation is a parse error at its first digit
+    for text, position in (("x" + "1" * 5000, 2), ("x1@" + "1" * 5000, 4)):
+        with pytest.raises(WordParseError) as exc:
+            parse_word(text)
+        assert exc.value.position == position
+
+
 def test_parse_empty():
     w = parse_word("")
     assert len(w) == 0
@@ -125,21 +134,32 @@ def test_parse_annotated():
 
 @st.composite
 def dsl_words(draw):
+    """Plain or all-annotated variables, some runs of them wrapped in
+    ``( ... )^-1`` groups, which may nest."""
     n = draw(st.integers(0, 6))
+    annotated = draw(st.booleans())
     parts = []
     for _ in range(n):
         t = draw(st.sampled_from(["x", "y"]))
         p = draw(st.integers(1, 3))
+        a = f"@{draw(st.integers(0, 2))}" if annotated else ""
         inv = draw(st.booleans())
-        parts.append(f"{t}{p}" + ("^-1" if inv else ""))
+        parts.append(f"{t}{p}{a}" + ("^-1" if inv else ""))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(parts)))
+        j = draw(st.integers(i, len(parts)))
+        parts[i:j] = [f"({' '.join(parts[i:j])})^-1"]
     return " ".join(parts)
 
 
 @settings(max_examples=200, deadline=None)
-@given(dsl_words())
-def test_render_parse_round_trip(text):
+@given(dsl_words(), st.integers(1, 3), st.integers(2, 3))
+def test_render_parse_round_trip(text, r, k):
     w = parse_word(text)
     assert parse_word(render_word(w)) == w
+    if not w.annotated:
+        rewritten = change_of_variables(w, r, k)
+        assert parse_word(render_word(rewritten)) == rewritten
 
 
 def test_formal_inverse_involution():
