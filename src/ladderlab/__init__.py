@@ -3,7 +3,7 @@ search over bounded balls, and Ramsey-based bound certificates."""
 
 from .bounds import (
     BoundCertificate,
-    SearchBaseOracle,
+    base_indices,
     certificate_le,
     check_base_indices,
     check_certificate,
@@ -32,6 +32,7 @@ from .errors import (
     MissingSuppliedIndex,
     ResourceCapExceeded,
     SpecParseError,
+    TraceTooLarge,
     UnannotatedSyllable,
     WordParseError,
 )

@@ -9,7 +9,7 @@ independently of the code that produced it.
 The recursion's rules live in one function, ``_derive_trace``: from each
 block's base entry it derives every range's entry. One builder puts the
 derived trace and a header into a certificate. ``lemma_bound`` builds with
-the searched indices; the checker builds again from the recorded header and
+the given indices; the checker builds again from the recorded header and
 base indices and requires the result to equal the recorded certificate;
 replay derives the trace from the recorded base entries alone.
 
@@ -26,9 +26,9 @@ replay and check by their own rule.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
-from .errors import AnnotationMismatch, LadderLabError
+from .errors import AnnotationMismatch, LadderLabError, TraceTooLarge
 from .groups import FactorGroup
 from .ladder import qf_stability_index
 from .ramsey import (
@@ -59,6 +59,10 @@ COLORING = {"cases_per_block": CASES_PER_BLOCK, "rule": "product over block coor
 FORMAT_V1 = "ladderlab-certificate@1"  # every proper subrange
 FORMAT_V2 = "ladderlab-certificate@2"  # the two maximal children
 
+# Ranges plus subproduct refs one derivation may hold: @2 admits ell <= 632
+# (some 200 MB), @1 ell <= 57.
+TRACE_CAP = 10**6
+
 
 def negation_bound(n: int) -> int:
     """Index bound for the negated formula: reversing both row orders and
@@ -86,33 +90,6 @@ def conjunction_bound(n_phi: int, n_psi: int) -> int:
     return negation_bound(
         disjunction_bound(negation_bound(n_phi), negation_bound(n_psi))
     )
-
-
-# A base-index oracle answers: index of 'block = 1' (negated: '!= 1') over the
-# whole factor the block is annotated with.
-BaseOracle = Callable[[FactorGroup, GroupWord, bool], int]
-
-
-class SearchBaseOracle:
-    """Default base oracle: brute-force search for finite factors, supplied
-    indices for stubs; not-equals indices derived via negation_bound rather
-    than a second search."""
-
-    def __init__(self, factors: Sequence[FactorGroup]):
-        self.factors = {f.id: f for f in factors}
-        self._memo: dict[tuple, int] = {}
-
-    def __call__(self, factor: FactorGroup, block: GroupWord, negated: bool) -> int:
-        key = (factor.id, word_shape(block), negated)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        if negated:
-            value = negation_bound(self(factor, block, False))
-        else:
-            value = qf_stability_index(factor, block).index
-        self._memo[key] = value
-        return value
 
 
 @dataclass(frozen=True)
@@ -325,6 +302,19 @@ def _subranges(fmt: str) -> Callable[[int, int], list[tuple[int, int]]]:
     return subranges
 
 
+def _check_trace_size(ell: int, subranges: Callable[[int, int], list[tuple[int, int]]]) -> None:
+    """TraceTooLarge if the ranges of ``ell`` blocks plus the subproduct
+    refs ``subranges`` has them record would pass TRACE_CAP. Every range of
+    one length records as many, so the count goes by length and stops once
+    past the cap."""
+    total = 0
+    for length in range(1, ell + 1):
+        refs_each = 2 * len(subranges(0, length - 1)) if length > 1 else 0
+        total += (ell - length + 1) * (1 + refs_each)
+        if total > TRACE_CAP:
+            raise TraceTooLarge(TRACE_CAP, total)
+
+
 def _derive_trace(
     bases: Sequence[tuple[int | None, str | None, int, int]],
     first: int,
@@ -339,7 +329,9 @@ def _derive_trace(
     each eq then neq (a single block carries both from its indices; a
     composite one is its value, then one more by negation_bound); mu is one
     past their maximum and the value is the Ramsey upper bound with 4^len
-    colors (the per-block cases compose into a product coloring)."""
+    colors (the per-block cases compose into a product coloring). Before
+    deriving anything, raises TraceTooLarge as ``_check_trace_size`` does."""
+    _check_trace_size(len(bases), subranges)
     trace: dict[tuple[int, int], RangeCert] = {}
     # each range's (eq, neq) refs, shared by every range that records it
     refs: dict[tuple[int, int], tuple[SubproductRef, SubproductRef]] = {}
@@ -378,29 +370,46 @@ def _build_certificate(
     return BoundCertificate(bound=bound, ell=decomp.ell, ranges=ranges, root=root, **header)
 
 
+def base_indices(
+    decomp: BlockDecomposition, factors: Sequence[FactorGroup]
+) -> Iterator[tuple[int, int]]:
+    """Each block's (eq, neq), in block order: the index of 'block = 1'
+    searched over the block's whole factor (supplied for stubs), and
+    ``negation_bound`` of it. Each (factor, shape) is searched once per
+    call. ValueError for a block whose factor is not in ``factors``."""
+    by_id = {f.id: f for f in factors}
+    found: dict[tuple[int, str], tuple[int, int]] = {}
+    for i, blk in enumerate(decomp.blocks):
+        factor = by_id.get(blk.factor)
+        if factor is None:
+            raise ValueError(f"range {(i, i)} names factor {blk.factor}, which is not given")
+        block = decomp.block_word(i)
+        key = (factor.id, word_shape(block))
+        if key not in found:
+            eq = qf_stability_index(factor, block).index
+            found[key] = (eq, negation_bound(eq))
+        yield found[key]
+
+
 def lemma_bound(
     decomp: BlockDecomposition,
-    base: BaseOracle,
-    factors: Sequence[FactorGroup],
-    word_text: str | None = None,
+    indices: Sequence[tuple[int, int]],
+    num_factors: int,
+    word_text: str = "",
     radius: int | None = None,
 ) -> BoundCertificate:
-    """Bound for an alternating block decomposition: the base oracle's
-    indices of every block, in block order, built into the certificate whose
-    composite ranges record their two maximal children. With no blocks the
-    bound is 1."""
+    """Bound for an alternating block decomposition whose blocks have base
+    indices ``indices`` (eq, neq per block, in block order), built into the
+    certificate whose composite ranges record their two maximal children.
+    With no blocks the bound is 1."""
     for a, b in zip(decomp.blocks, decomp.blocks[1:]):
         if a.factor == b.factor:
             raise AnnotationMismatch("adjacent blocks must alternate factors")
-    factor_map = {f.id: f for f in factors}
-
-    indices = []
-    for i, blk in enumerate(decomp.blocks):
-        factor, block = factor_map[blk.factor], decomp.block_word(i)
-        indices.append((base(factor, block, False), base(factor, block, True)))
+    if len(indices) != decomp.ell:
+        raise ValueError(f"{len(indices)} base index pairs given for {decomp.ell} blocks")
     return _build_certificate(
-        decomp, indices, _maximal_children, word=word_text if word_text is not None else "",
-        rewritten=render_word(decomp.word), radius=radius, num_factors=len(factor_map), format=FORMAT_V2)
+        decomp, indices, _maximal_children, word=word_text, rewritten=render_word(decomp.word),
+        radius=radius, num_factors=num_factors, format=FORMAT_V2)
 
 
 def theorem_bound(
@@ -412,10 +421,11 @@ def theorem_bound(
         raise ValueError("r must be >= 1")
     if len(factors) < 2:
         raise ValueError("need at least 2 factors")
+    # templates alternate factors, so only two that meet share a block: a
+    # floor on ell refuses a trace past the cap before the word is rewritten
+    _check_trace_size(len(w) * (template_length(r, len(factors)) - 1), _maximal_children)
     decomp = block_decompose(change_of_variables(w, r, len(factors)))
-    return lemma_bound(
-        decomp, SearchBaseOracle(factors), factors=factors, word_text=render_word(w), radius=r
-    )
+    return lemma_bound(decomp, list(base_indices(decomp, factors)), len(factors), render_word(w), r)
 
 
 def _base_entries(cert: BoundCertificate, first: int, last: int) -> list[tuple]:
@@ -498,22 +508,17 @@ def verify_certificate(cert: BoundCertificate) -> bool:
 
 
 def check_base_indices(cert: BoundCertificate, factors: Sequence[FactorGroup]) -> int:
-    """Re-run ``SearchBaseOracle`` over ``factors`` on every base entry of a
-    certificate that ``check_certificate`` accepts, and raise ValueError at
-    the first whose recorded indices differ. Returns the entries checked."""
+    """Search every base entry of a certificate that ``check_certificate``
+    accepts again with ``base_indices`` over ``factors``, and raise
+    ValueError at the first whose recorded indices differ. Returns the
+    entries checked."""
     if cert.num_factors is not None and cert.num_factors != len(factors):
         raise ValueError(f"the certificate is for {cert.num_factors} factors, not {len(factors)}")
     if cert.root is None:
         return 0
-    oracle = SearchBaseOracle(factors)
-    decomp = block_decompose(parse_word(cert.rewritten))
-    for i in range(cert.ell):
+    searched = base_indices(block_decompose(parse_word(cert.rewritten)), factors)
+    for i, found in enumerate(searched):
         rc = cert.ranges[(i, i)]
-        factor = oracle.factors.get(rc.factor)
-        if factor is None:
-            raise ValueError(f"range {(i, i)} names factor {rc.factor}, which is not given")
-        block = decomp.block_word(i)
-        found = (oracle(factor, block, False), oracle(factor, block, True))
         if (rc.eq_index, rc.neq_index) != found:
             raise ValueError(
                 f"range {(i, i)} records indices ({rc.eq_index}, {rc.neq_index});"

@@ -226,10 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("index", help="brute-force stability index of a word")
     p.add_argument("--word", required=True, help="word-DSL string")
-    p.add_argument("--radius", type=int, default=None, help="ball domain radius")
-    p.add_argument(
-        "--factor", type=int, default=None, help="search over one whole finite factor"
-    )
+    domain = p.add_mutually_exclusive_group(required=True)
+    domain.add_argument("--radius", type=int, help="ball domain radius")
+    domain.add_argument("--factor", type=int, help="search over one whole finite factor")
     p.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF)
     add_common(p, cap=True)
     p.set_defaults(func=cmd_index)
@@ -276,8 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "index" and (args.radius is None) == (args.factor is None):
-        parser.error("index needs exactly one of --radius or --factor")
     try:
         return args.func(args)
     except ResourceCapExceeded as exc:

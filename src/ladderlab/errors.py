@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
+# a count with more digits is written by its size, ~10^N
+_COUNT_DIGITS = 100
+
 
 class LadderLabError(Exception):
     """Base class for all errors raised by this package."""
@@ -9,6 +14,26 @@ class LadderLabError(Exception):
 
 class ResourceCapExceeded(LadderLabError):
     """A predicted size exceeds one of the package's resource caps."""
+
+
+def _count_text(n: int) -> str:
+    """``n`` in digits, or ``~10^N`` once it has more than _COUNT_DIGITS
+    (``str`` refuses ints past 4,300 digits)."""
+    if n < 10**_COUNT_DIGITS:
+        return str(n)
+    return f"~10^{math.log10(n):.0f}"
+
+
+class CountOverCap(ResourceCapExceeded):
+    """A predicted count over a cap. ``cap`` and ``predicted`` stay exact
+    ints; each subclass's ``template`` words the message."""
+
+    template: str
+
+    def __init__(self, cap: int, predicted: int):
+        super().__init__(self.template.format(cap=cap, predicted=_count_text(predicted)))
+        self.cap = cap
+        self.predicted = predicted
 
 
 class SpecParseError(LadderLabError):
@@ -35,15 +60,10 @@ class ContextMismatch(LadderLabError):
     """Words from different free-product contexts were combined."""
 
 
-class BallTooLarge(ResourceCapExceeded):
+class BallTooLarge(CountOverCap):
     """Predicted ball size exceeds the configured cap."""
 
-    def __init__(self, cap: int, predicted: int):
-        super().__init__(
-            f"predicted ball size {predicted} exceeds cap {cap}"
-        )
-        self.cap = cap
-        self.predicted = predicted
+    template = "predicted ball size {predicted} exceeds cap {cap}"
 
 
 class WordParseError(LadderLabError):
@@ -72,25 +92,27 @@ class LengthExceedsRadius(LadderLabError):
     """A word is too long to embed into the change-of-variables template."""
 
 
-class DomainTooLarge(ResourceCapExceeded):
+class DomainTooLarge(CountOverCap):
     """Predicted ladder-search branching exceeds the configured cap."""
 
-    def __init__(self, cap: int, predicted: int):
-        super().__init__(
-            f"predicted per-depth branching {predicted} exceeds cap {cap}"
-        )
-        self.cap = cap
-        self.predicted = predicted
+    template = "predicted per-depth branching {predicted} exceeds cap {cap}"
 
 
-class ArityTooLarge(ResourceCapExceeded):
+class ArityTooLarge(CountOverCap):
     """A word search's rows would hold more cells (arity x rows, summed over
     both tuples) than the configured cap."""
 
-    def __init__(self, cap: int, predicted: int):
-        super().__init__(f"predicted row cells {predicted} (arity x rows) exceed cap {cap}")
-        self.cap = cap
-        self.predicted = predicted
+    template = "predicted row cells {predicted} (arity x rows) exceed cap {cap}"
+
+
+class TraceTooLarge(CountOverCap):
+    """A certificate trace would hold more ranges plus subproduct refs than
+    ``bounds.TRACE_CAP``; ``predicted`` is the count at the first block
+    length that passes the cap."""
+
+    template = (
+        "predicted certificate trace of at least {predicted} ranges and subproduct refs exceeds cap {cap}"
+    )
 
 
 class MissingSuppliedIndex(LadderLabError):

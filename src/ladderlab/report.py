@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 from .bounds import theorem_bound
-from .freeproduct import FreeProduct
+from .freeproduct import DEFAULT_BALL_CAP, FreeProduct
 from .ladder import DEFAULT_CUTOFF, Ladder, SearchDomain, word_index
 from .ramsey import SAT_CAP_LIMIT, bound_to_json, bv_exact, sat_min
 from .words import GroupWord, render_word
@@ -173,7 +173,7 @@ def run_verify(
     word: GroupWord,
     radius: int,
     cutoff: int = DEFAULT_CUTOFF,
-    ball_cap: int | None = None,
+    ball_cap: int = DEFAULT_BALL_CAP,
     threads: int = 1,
     force_bound: int | None = None,
 ) -> VerificationReport:
@@ -210,8 +210,7 @@ def run_verify(
     cutoff = min(cutoff, SAT_CAP_LIMIT)
     # one past a bound below the cutoff, so an index above it can be observed
     effective_cutoff = min(cutoff, sat_min(cert.bound, cutoff) + 1)
-    kwargs = {} if ball_cap is None else {"cap": ball_cap}
-    ball = context.ball(radius, **kwargs)
+    ball = context.ball(radius, cap=ball_cap)
     domain = SearchDomain.from_ball(ball)
     result = word_index(
         context,

@@ -58,6 +58,30 @@ def z2z2z2():
     return FreeProduct.from_documents([Z2_DOC, Z2_DOC, Z2_DOC])
 
 
+def many_block_certificate(blocks: int, fmt: str = "ladderlab-certificate@1") -> dict:
+    """A certificate document over ``blocks`` alternating one-letter blocks
+    that records their base entries (indices 1 and 1) and nothing else:
+    ``from_json`` reads it, and checking it derives every range."""
+    return {
+        "format": fmt,
+        "bound": 0,
+        "bound_text": "1",
+        "word": "",
+        "rewritten": " ".join(f"x{i}@{i % 2}" for i in range(1, blocks + 1)),
+        "ell": blocks,
+        "radius": None,
+        "num_factors": None,
+        "coloring": {"cases_per_block": 4, "rule": "product over block coordinates"},
+        "root": [0, blocks - 1],
+        "ranges": [
+            {"range": [i, i], "kind": "base", "value": 0, "factor": (i + 1) % 2,
+             "shape": "x1", "eq_index": 1, "neq_index": 1}
+            for i in range(blocks)
+        ],
+        "values": [{"kind": "exact", "value": "1"}],
+    }
+
+
 # -- independent oracles -------------------------------------------------------
 
 

@@ -11,8 +11,11 @@ from ladderlab import (
     BoundCertificate,
     MissingSuppliedIndex,
     SearchDomain,
+    TraceTooLarge,
+    base_indices,
     block_decompose,
     certificate_le,
+    change_of_variables,
     conjunction_bound,
     disjunction_bound,
     formula_and,
@@ -30,8 +33,10 @@ from ladderlab import (
     verify_certificate,
     word_formula,
 )
+from ladderlab import bounds
 from ladderlab.bounds import FORMAT_V1, FORMAT_V2, RangeCert
 from ladderlab.ramsey import bv_exact, bv_max, bv_ramsey, bv_succ, is_ge_int, le_bound
+from ladderlab.words import template_length
 
 
 # `ladderlab bound --word "x1 y1" --radius 1 --groups specs/z2.json
@@ -99,16 +104,9 @@ def test_boolean_bounds_dominate_search(z3):
     assert nneg <= negation_bound(nf)
 
 
-def constant_base(eq: int, neq: int):
-    def base(factor, block, negated):
-        return neq if negated else eq
-
-    return base
-
-
 def test_lemma_bound_single_block(z2):
     decomp = block_decompose(parse_word("x1@0 y1@0"))
-    cert = lemma_bound(decomp, constant_base(3, 3), factors=[z2])
+    cert = lemma_bound(decomp, [(3, 3)], 1)
     assert cert.bound == bv_exact(3)
     assert cert.ell == 1
 
@@ -116,7 +114,7 @@ def test_lemma_bound_single_block(z2):
 def test_lemma_bound_two_blocks_all_ones(z2z2):
     word = parse_word("x1@0 x2@1")
     decomp = block_decompose(word)
-    cert = lemma_bound(decomp, constant_base(1, 1), factors=z2z2.factors)
+    cert = lemma_bound(decomp, [(1, 1)] * decomp.ell, 2)
     # mu = 2, so the 16-color bound collapses to 2
     assert cert.bound == bv_exact(2)
     rc = cert.ranges[(0, 1)]
@@ -129,9 +127,7 @@ def test_lemma_bound_dominates_annotated_search(z2z2):
     decomp = block_decompose(word)
     assert decomp.ell == 2
 
-    from ladderlab.bounds import SearchBaseOracle
-
-    cert = lemma_bound(decomp, SearchBaseOracle(z2z2.factors), factors=z2z2.factors)
+    cert = lemma_bound(decomp, list(base_indices(decomp, z2z2.factors)), 2)
 
     f = word_formula(z2z2, word)
     d0 = SearchDomain.from_values(
@@ -161,7 +157,7 @@ def test_theorem_bound_empty_word(z2z2):
 
 
 def test_lemma_bound_empty_decomposition(z2z2):
-    cert = lemma_bound(block_decompose(parse_word("")), constant_base(3, 3), factors=z2z2.factors)
+    cert = lemma_bound(block_decompose(parse_word("")), [], 2)
     assert (cert.bound, cert.root, cert.ranges, cert.ell) == (bv_exact(1), None, {}, 0)
     assert verify_certificate(cert)
     stray = RangeCert(0, 0, "base", bv_exact(1), factor=0, shape="x1", eq_index=1, neq_index=1)
@@ -169,6 +165,48 @@ def test_lemma_bound_empty_decomposition(z2z2):
         parsed = BoundCertificate.from_json(json.loads(json.dumps(forged.to_json())))
         assert verify_certificate(forged) is False
         assert verify_certificate(parsed) is False
+
+
+def test_lemma_bound_needs_one_index_pair_per_block():
+    decomp = block_decompose(parse_word("x1@0 x2@1"))
+    for indices in ([(1, 1)], [(1, 1)] * 3):
+        with pytest.raises(ValueError, match="base index pairs given for 2 blocks"):
+            lemma_bound(decomp, indices, 2)
+
+
+def test_base_indices_searches_each_shape_once(z2z2, z2, monkeypatch):
+    decomp = block_decompose(parse_word("x1@0 x2@1 x3@0 y1@1 x4@0"))
+    searched = []
+    search = bounds.qf_stability_index
+    monkeypatch.setattr(bounds, "qf_stability_index", lambda f, w: searched.append(f.id) or search(f, w))
+    found = list(base_indices(decomp, z2z2.factors))
+    assert searched == [0, 1, 1]  # x1 in each factor, then y1
+    assert len(found) == 5 and found[2] == found[0] and found[0][1] == negation_bound(found[0][0])
+    with pytest.raises(ValueError, match=r"range \(1, 1\) names factor 1, which is not given"):
+        list(base_indices(decomp, [z2]))
+
+
+def test_trace_cap_by_format():
+    for fmt, largest in ((FORMAT_V2, 632), (FORMAT_V1, 57)):
+        subranges = bounds._SUBRANGES[fmt]
+        bounds._check_trace_size(largest, subranges)
+        with pytest.raises(TraceTooLarge) as exc:
+            bounds._check_trace_size(largest + 1, subranges)
+        assert exc.value.cap == bounds.TRACE_CAP < exc.value.predicted
+
+
+def test_theorem_bound_counts_blocks_before_rewriting(z2z2, z2z2z2):
+    # the count is a floor on ell, so it never refuses a word the rules admit
+    for context in (z2z2, z2z2z2):
+        k = len(context.factors)
+        for text in ("x1", "x1 x1", "x1^-1 x1", "x1 x1^-1", "x1 y1 x1^-1 y1^-1", "x1^-1 x2^-1 x2 x1"):
+            w = parse_word(text)
+            for r in (1, 2, 3):
+                ell = block_decompose(change_of_variables(w, r, k)).ell
+                assert len(w) * (template_length(r, k) - 1) <= ell
+    # a billion-block rewritten word is refused before it is built
+    with pytest.raises(TraceTooLarge):
+        theorem_bound(parse_word("x1 y1"), 10**9, z2z2.factors)
 
 
 def test_theorem_bound_structure(z2z2):

@@ -4,7 +4,9 @@ Each example changes one thing in a valid input: it deletes a key or a list
 item, gives a value another JSON type, moves an integer by one, or swaps two
 list items. ``check-cert`` must then exit 0 (valid), 2 (rejected) or 3 (too
 large to walk), and ``verify`` one of 0, 2, 3, 4 and 5; neither may let an
-exception out or print a traceback.
+exception out or print a traceback. Inputs past a resource cap (large radii,
+long variable lists, certificates with many blocks) must exit 3 with one
+``error:`` line.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from hypothesis import strategies as st
 
 from ladderlab.cli import main
 
-from conftest import Z2_DOC
+from conftest import Z2_DOC, Z3_DOC, many_block_certificate
 
 DATA = Path(__file__).parent / "data"
 FIXTURES = {
@@ -118,3 +120,45 @@ def test_verify_exit_codes_on_word_strings(workdir, word):
     code, text = run_quietly(["verify", f"--word={word}", "--radius", "1", "--groups", str(path), str(path)])
     assert code in (0, 2, 3, 4, 5)
     assert "Traceback" not in text
+
+
+def assert_refused(argv) -> None:
+    code, text = run_quietly(argv)
+    assert code == 3
+    assert text.startswith("error: ") and text.count("\n") == 1
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(["ball", "index", "bound", "verify"]), st.data())
+def test_large_radii_exit_3(workdir, command, data):
+    path = workdir / "z3.json"
+    path.write_text(json.dumps(Z3_DOC), encoding="utf-8")
+    if command in ("ball", "index"):
+        # more than 10^6 ball members from r = 20; past 4,300 digits from r = 14,300
+        radius = data.draw(st.integers(20, 16_000))
+    else:
+        # "x1 y1" has more than 632 blocks from r = 316
+        radius = data.draw(st.integers(316, 10**12))
+    word = [] if command == "ball" else ["--word", "x1 y1"]
+    assert_refused([command, *word, "--radius", str(radius), "--groups", str(path), str(path)])
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from(["index", "bound", "verify"]), st.integers(632, 12_000))
+def test_long_variable_lists_exit_3(workdir, command, n):
+    # 3^n row tuples over a radius-1 ball; 2n + 2 blocks, past the trace cap
+    path = workdir / "z2.json"
+    path.write_text(json.dumps(Z2_DOC), encoding="utf-8")
+    word = " ".join(f"x{i}" for i in range(1, n + 1)) + " y1"
+    assert_refused([command, f"--word={word}", "--radius", "1", "--groups", str(path), str(path)])
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from([("@1", 58), ("@2", 633)]).flatmap(
+    lambda f: st.tuples(st.just(f[0]), st.integers(f[1], 3_000))))
+def test_many_block_certificates_exit_3(workdir, forged):
+    # the fewest blocks whose trace passes the cap under each format's rule
+    fmt, blocks = forged
+    path = workdir / "many.json"
+    path.write_text(json.dumps(many_block_certificate(blocks, "ladderlab-certificate" + fmt)), encoding="utf-8")
+    assert_refused(["check-cert", str(path)])

@@ -18,7 +18,7 @@ from ladderlab.report import (
     REPORT_SCHEMA,
 )
 
-from conftest import S3_DOC, Z2_DOC, Z3_DOC
+from conftest import S3_DOC, Z2_DOC, Z3_DOC, many_block_certificate
 
 
 @pytest.fixture(scope="module")
@@ -199,6 +199,38 @@ def test_cmd_index_arity_cap_exits_3(spec_files, capsys):
     assert run(argv) == EXIT_RESOURCE
     err = capsys.readouterr().err
     assert err == "error: predicted row cells 3000000000 (arity x rows) exceed cap 10000000\n"
+
+
+LONG_WORD = " ".join(f"x{i}" for i in range(1, 9200)) + " y1"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ball", "--radius", "20000", "--groups", "z3", "z3"],
+        ["index", "--word", LONG_WORD, "--radius", "1", "--groups", "z2", "z2"],
+        ["index", "--word", "x" + "9" * 4300 + " y1", "--radius", "1", "--groups", "z2", "z2"],
+    ],
+    ids=["ball-size", "branching", "row-cells"],
+)
+def test_cap_error_with_a_huge_count_exits_3(spec_files, capsys, argv):
+    # each count has more digits than str() writes, so it is written ~10^N
+    assert run([spec_files.get(a, a) for a in argv]) == EXIT_RESOURCE
+    err = capsys.readouterr().err
+    assert err.startswith("error: predicted ") and "~10^" in err and err.count("\n") == 1
+
+
+def test_trace_cap_exits_3_before_deriving(spec_files, capsys, tmp_path):
+    # ell about 18,400 at @2 (677 M refs), and 160 blocks at @1 (56.7 M refs)
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(many_block_certificate(160)), encoding="utf-8")
+    verify = ["verify", "--word", LONG_WORD, "--radius", "1", "--groups", spec_files["z2"], spec_files["z2"]]
+    for argv in (verify, ["check-cert", str(path)]):
+        start = time.perf_counter()
+        assert run(argv) == EXIT_RESOURCE
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: predicted certificate trace of at least ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["bound", "verify"])
@@ -502,9 +534,21 @@ def test_verify_rejects_stub_context():
 
 
 def test_cli_index_requires_exactly_one_domain(spec_files, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(["index", "--word", "x1", "--groups", spec_files["z2"], spec_files["z2"]])
-    assert exc.value.code == 2
+    groups = ["--groups", spec_files["z2"], spec_files["z2"]]
+    for domain, message in (([], "one of the arguments --radius --factor is required"),
+                            (["--radius", "1", "--factor", "0"], "not allowed with argument")):
+        with pytest.raises(SystemExit) as exc:
+            run(["index", "--word", "x1", *domain, *groups])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+
+def test_library_and_cli_give_one_config_digest(spec_files, capsys, z2z2):
+    report = run_verify(z2z2, parse_word("x1 y1"), 1, cutoff=8)
+    argv = ["verify", "--word", "x1 y1", "--radius", "1", "--cutoff", "8", "--json",
+            "--groups", spec_files["z2"], spec_files["z2"]]
+    assert run(argv) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["config_digest"] == report.config_digest
 
 
 def test_cmd_verify_rejects_threads(spec_files, capsys):
@@ -567,19 +611,14 @@ def test_check_cert_rejects_a_forged_file(spec_files, capsys, tmp_path):
 
 
 def test_check_cert_searches_base_indices_only_with_groups(spec_files, capsys, tmp_path, z2z2):
-    from ladderlab import block_decompose, change_of_variables, lemma_bound
-    from ladderlab.bounds import SearchBaseOracle
+    from ladderlab import base_indices, block_decompose, change_of_variables, lemma_bound
 
     # one base index changed at the source, so the trace stays consistent
-    oracle = SearchBaseOracle(z2z2.factors)
-
-    def base(factor, block, negated):
-        value = oracle(factor, block, negated)
-        return value + 1 if block.render() == "x1@0" and not negated else value
-
     word = parse_word("x1 y1")
     decomp = block_decompose(change_of_variables(word, 1, 2))
-    cert = lemma_bound(decomp, base, factors=z2z2.factors, word_text="x1 y1", radius=1)
+    indices = list(base_indices(decomp, z2z2.factors))
+    indices[0] = (indices[0][0] + 1, indices[0][1])
+    cert = lemma_bound(decomp, indices, 2, word_text="x1 y1", radius=1)
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(cert.to_json()), encoding="utf-8")
     assert run(["check-cert", str(path)]) == EXIT_OK
@@ -594,7 +633,7 @@ def test_check_cert_groups_resource_cap_exits_3(spec_files, capsys, tmp_path, z2
     # a consistent certificate whose base blocks are too wide to search again
     word = "x999999999 y1"
     decomp = block_decompose(change_of_variables(parse_word(word), 1, 2))
-    cert = lemma_bound(decomp, lambda f, b, n: 1, factors=z2z2.factors, word_text=word, radius=1)
+    cert = lemma_bound(decomp, [(1, 1)] * decomp.ell, 2, word_text=word, radius=1)
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(cert.to_json()), encoding="utf-8")
     assert run(["check-cert", str(path)]) == EXIT_OK
