@@ -14,6 +14,7 @@ import io
 import json
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .bounds import BoundCertificate, check_base_indices, check_certificate, theorem_bound
 from .errors import LadderLabError, ResourceCapExceeded
@@ -37,9 +38,11 @@ def _load_context(paths: list[str]) -> FreeProduct:
     )
 
 
-def _emit(args, payload: dict, human: str, csv_data=None) -> None:
+def _emit(args, payload: Callable[[], dict], human: str, csv_data=None) -> None:
+    """Print the JSON document ``payload()``, built only under ``--json``, the
+    CSV rows, or the human text."""
     if getattr(args, "json", False):
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload(), indent=2, sort_keys=True))
     elif getattr(args, "csv", False) and csv_data is not None:
         header, row = csv_data
         buf = io.StringIO()
@@ -57,7 +60,7 @@ def cmd_reduce(args) -> int:
     rendered = word.render()
     _emit(
         args,
-        {"input": args.text, "reduced": rendered, "length": len(word)},
+        lambda: {"input": args.text, "reduced": rendered, "length": len(word)},
         rendered,
         (["input", "reduced", "length"], [args.text, rendered, str(len(word))]),
     )
@@ -71,7 +74,7 @@ def cmd_ball(args) -> int:
     human = "\n".join(listing + [f"count: {len(ball)}"])
     _emit(
         args,
-        {"radius": args.radius, "count": len(ball), "members": listing},
+        lambda: {"radius": args.radius, "count": len(ball), "members": listing},
         human,
         (["radius", "count"], [str(args.radius), str(len(ball))]),
     )
@@ -105,7 +108,7 @@ def cmd_index(args) -> int:
     )
     _emit(
         args,
-        payload,
+        lambda: payload,
         human,
         (
             ["word", "domain", "index", "cutoff_hit"],
@@ -126,7 +129,7 @@ def cmd_bound(args) -> int:
     )
     _emit(
         args,
-        cert.to_json(),
+        cert.to_json,
         human,
         (
             ["word", "radius", "ell", "bound"],
@@ -147,7 +150,7 @@ def cmd_verify(args) -> int:
         ball_cap=args.cap,
         force_bound=args.force_bound,
     )
-    _emit(args, report.to_json(), report.human_table(), report.csv_row())
+    _emit(args, report.to_json, report.human_table(), report.csv_row())
     return report.exit_code()
 
 
@@ -170,7 +173,7 @@ def cmd_check_cert(args) -> int:
             human += f", {payload['bases_searched']} base entries searched again"
     else:
         human = f"invalid {cert.format} certificate: {payload['error']}"
-    _emit(args, payload, human)
+    _emit(args, lambda: payload, human)
     return EXIT_OK if payload["valid"] else EXIT_PARSE
 
 
@@ -178,7 +181,7 @@ def cmd_ramsey(args) -> int:
     value = ramsey_upper(args.colors, args.target)
     _emit(
         args,
-        {"colors": args.colors, "target": args.target, "value": str(value)},
+        lambda: {"colors": args.colors, "target": args.target, "value": str(value)},
         str(value),
         (["colors", "target", "value"], [str(args.colors), str(args.target), str(value)]),
     )

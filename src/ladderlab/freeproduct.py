@@ -1,9 +1,13 @@
 """Normal-form elements of a free product of factor groups.
 
 A reduced word is an alternating sequence of non-identity letters from the
-factors; the empty word is the canonical identity. Reduction is one fold that
-merges adjacent same-factor letters on two int stacks through the factors'
-tables, so multiplication is amortized linear in the input length.
+factors; the empty word is the canonical identity. A word holds its letters
+as int codes, ``factor << CODE_SHIFT | element``. Reduction is one fold over
+runs of reduced codes: two reduced words can only cancel or merge where they
+meet, so the fold works letter by letter only at the boundary between the
+stack and each run, through per-code merge rows built from the factors'
+tables, and appends the rest of the run whole. Multiplication is amortized
+linear in the input length.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from .errors import (
     InvalidElement,
     WordParseError,
 )
-from .groups import FactorElement, FactorGroup
+from .groups import MAX_FACTOR_ORDER, FactorElement, FactorGroup
 
 DEFAULT_BALL_CAP = 10**6
 
@@ -32,20 +36,41 @@ _LETTER_RE = re.compile(r"^f(\d+):(\d+)$")
 # a letter of a normal form is a non-identity factor element
 Letter = FactorElement
 
+# A letter's code is ``factor << CODE_SHIFT | element``. No element index
+# reaches MAX_FACTOR_ORDER, so a code names the same letter in every context,
+# and codes are equal exactly when the letters are.
+CODE_SHIFT = (MAX_FACTOR_ORDER - 1).bit_length()
+ELEMENT_MASK = (1 << CODE_SHIFT) - 1
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class ReducedWord:
-    """An element of the free product in normal form."""
+    """An element of the free product in normal form, held as the codes of
+    its letters. The constructor does not reduce: ``codes`` must already be
+    a normal form of ``context``."""
 
-    letters: tuple[Letter, ...]
+    codes: tuple[int, ...]
     context: "FreeProduct" = field(compare=False, repr=False)
+    _inverse: tuple[int, ...] | None = field(default=None, init=False, compare=False, repr=False)
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self.codes)
+
+    @property
+    def letters(self) -> tuple[Letter, ...]:
+        return tuple(Letter(c >> CODE_SHIFT, c & ELEMENT_MASK) for c in self.codes)
+
+    @property
+    def inverse_codes(self) -> tuple[int, ...]:
+        """The codes of the inverse's normal form, computed once per value."""
+        if self._inverse is None:
+            inverse = self.context._inverse_code
+            object.__setattr__(self, "_inverse", tuple(inverse[c] for c in reversed(self.codes)))
+        return self._inverse
 
     @property
     def is_identity(self) -> bool:
-        return not self.letters
+        return not self.codes
 
     def __mul__(self, other: "ReducedWord") -> "ReducedWord":
         return self.context.concat(self, other)
@@ -54,7 +79,7 @@ class ReducedWord:
         return self.context.invert(self)
 
     def render(self) -> str:
-        if not self.letters:
+        if not self.codes:
             return IDENTITY_RENDERING
         return LETTER_SEPARATOR.join(l.render() for l in self.letters)
 
@@ -83,8 +108,21 @@ class FreeProduct:
             f.with_id(i) for i, f in enumerate(factors)
         )
         self.identity = ReducedWord((), self)
-        # read by the fold; all None for a stub, whose letters never reach it
-        self._tables = tuple((f.identity, f.table, f.inverses) for f in self.factors)
+        # Per letter code: its merge row, the code of its product with each
+        # element of its factor or -1 for the identity, and its inverse's
+        # code. None at codes that name no letter, a stub's included.
+        self._merge: list[tuple[int, ...] | None] = [None] * (self.k << CODE_SHIFT)
+        self._inverse_code: list[int | None] = [None] * (self.k << CODE_SHIFT)
+        for f in self.factors:
+            if f.declared_infinite:
+                continue
+            base = f.id << CODE_SHIFT
+            for a in range(f.order):
+                if a != f.identity:
+                    self._merge[base | a] = tuple(
+                        -1 if p == f.identity else base | p for p in f.table[a]
+                    )
+                    self._inverse_code[base | a] = base | f.inverses[a]
 
     @property
     def k(self) -> int:
@@ -116,49 +154,52 @@ class FreeProduct:
         f.check_elem(elem)
         if elem == f.identity:
             return self.identity
-        return ReducedWord((Letter(fid, elem),), self)
+        return ReducedWord((fid << CODE_SHIFT | elem,), self)
 
     def embed(self, fe: FactorElement) -> ReducedWord:
         return self.letter(fe.factor, fe.elem)
 
-    def fold(self, runs: Iterable) -> tuple[list[int], list[int]]:
-        """Reduce runs of letters on two parallel int stacks.
+    def fold(self, runs: Iterable[Sequence[int]]) -> list[int]:
+        """The normal form of a product of reduced words, as codes.
 
-        Each run is a ``(letters, inverted)`` pair; an inverted run is read
-        backwards with every letter inverted. Identity letters are dropped.
-        Returns the normal form as (factor ids, element indices).
+        Each run is the codes of a reduced word. Only the stack's top and the
+        run's next letter can interact: while they lie in one factor they
+        merge, and a product of 1 pops the top and goes on, any other
+        replaces the top and ends the merging. The rest of the run cannot
+        interact with what it follows and is appended whole.
         """
-        tables = self._tables
-        fids: list[int] = []
-        elems: list[int] = []
-        for letters, inverted in runs:
-            for letter in reversed(letters) if inverted else letters:
-                fid = letter.factor
-                identity, table, inverses = tables[fid]
-                elem = inverses[letter.elem] if inverted else letter.elem
-                if fids and fids[-1] == fid:
-                    fids.pop()
-                    elem = table[elems.pop()][elem]
-                if elem != identity:
-                    fids.append(fid)
-                    elems.append(elem)
-        return fids, elems
-
-    def from_fold(self, fids: list[int], elems: list[int]) -> ReducedWord:
-        """The ReducedWord of a fold's result."""
-        return ReducedWord(tuple(map(Letter, fids, elems)), self)
+        merge = self._merge
+        stack: list[int] = []
+        for run in runs:
+            i = 0
+            while stack and run:
+                top, code = stack[-1], run[i]
+                if top ^ code > ELEMENT_MASK:  # letters of different factors
+                    break
+                i += 1
+                product = merge[top][code & ELEMENT_MASK]
+                if product >= 0:
+                    stack[-1] = product
+                    break
+                stack.pop()
+                if i == len(run):
+                    break
+            stack.extend(run[i:] if i else run)
+        return stack
 
     def reduce(self, raw: Iterable) -> ReducedWord:
         """Normal form of a raw letter sequence of (factor, elem) pairs."""
-        letters: list[Letter] = []
+        runs: list[tuple[int]] = []
         for item in raw:
             if isinstance(item, Letter):
                 fid, elem = item.factor, item.elem
             else:
                 fid, elem = item
-            self.factor(fid).check_elem(elem)
-            letters.append(Letter(fid, elem))
-        return self.from_fold(*self.fold([(letters, False)]))
+            f = self.factor(fid)
+            f.check_elem(elem)
+            if elem != f.identity:
+                runs.append((fid << CODE_SHIFT | elem,))
+        return ReducedWord(tuple(self.fold(runs)), self)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -169,11 +210,11 @@ class FreeProduct:
     def concat(self, u: ReducedWord, v: ReducedWord) -> ReducedWord:
         self._check_context(u)
         self._check_context(v)
-        return self.from_fold(*self.fold([(u.letters, False), (v.letters, False)]))
+        return ReducedWord(tuple(self.fold((u.codes, v.codes))), self)
 
     def invert(self, u: ReducedWord) -> ReducedWord:
         self._check_context(u)
-        return self.from_fold(*self.fold([(u.letters, True)]))
+        return ReducedWord(tuple(self.fold((u.inverse_codes,))), self)
 
     # -- ball enumeration --------------------------------------------------
 
@@ -200,20 +241,20 @@ class FreeProduct:
         predicted = self.predicted_ball_size(radius)
         if predicted > cap:
             raise BallTooLarge(cap, predicted)
+        letter_codes = [
+            [f.id << CODE_SHIFT | e for e in range(f.order) if e != f.identity]
+            for f in self.factors
+        ]
         members: list[ReducedWord] = [self.identity]
-        level: list[tuple[Letter, ...]] = [()]
+        level: list[tuple[int, ...]] = [()]
         for _ in range(radius):
-            nxt: list[tuple[Letter, ...]] = []
+            nxt: list[tuple[int, ...]] = []
             for prefix in level:
-                last = prefix[-1].factor if prefix else None
-                for f in self.factors:
-                    if f.id == last:
-                        continue
-                    for e in range(f.order):
-                        if e == f.identity:
-                            continue
-                        nxt.append(prefix + (Letter(f.id, e),))
-            members.extend(ReducedWord(w, self) for w in nxt)
+                last = prefix[-1] >> CODE_SHIFT if prefix else None
+                for fid, codes in enumerate(letter_codes):
+                    if fid != last:
+                        nxt.extend([prefix + (c,) for c in codes])
+            members.extend([ReducedWord(w, self) for w in nxt])
             level = nxt
         return Ball(radius, tuple(members))
 

@@ -194,7 +194,7 @@ def max_ladder(
     col_seen, col_true = [0] * len(b_cands), [0] * len(b_cands)
 
     def row(i: int, mask: int) -> int:
-        """The b-rows in ``mask`` on which a-row i holds; the only evaluator."""
+        """The b-rows in ``mask`` on which a-row i holds."""
         todo = mask & ~row_seen[i]
         row_seen[i] |= todo
         while todo:
@@ -205,13 +205,19 @@ def max_ladder(
         return row_true[i] & mask
 
     def col(j: int, mask: int) -> int:
-        """The a-rows in ``mask`` that hold against b-row j."""
+        """The a-rows in ``mask`` that hold against b-row j. Evaluates the
+        pairs not yet seen itself, recording them as ``row`` does."""
         todo = mask & ~col_seen[j]
         col_seen[j] |= todo
+        bit, b_row = 1 << j, b_cands[j]
         while todo:
             i = (todo & -todo).bit_length() - 1
             todo &= todo - 1
-            if row(i, 1 << j):
+            if not row_seen[i] & bit:
+                row_seen[i] |= bit
+                if formula.holds(a_cands[i], b_row):
+                    row_true[i] |= bit
+            if row_true[i] & bit:
                 col_true[j] |= 1 << i
         return col_true[j] & mask
 

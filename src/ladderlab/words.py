@@ -11,8 +11,8 @@ the change of variables.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 from .errors import (
     AnnotationMismatch,
@@ -56,6 +56,12 @@ class GroupWord:
     syllables: tuple[Syllable, ...]
     arity_x: int
     arity_y: int
+    # per syllable: (an x-variable?, 0-based position, inverted?), for evaluation
+    steps: tuple[tuple[bool, int, bool], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        steps = tuple((s.tuple_name == "x", s.position - 1, s.exponent < 0) for s in self.syllables)
+        object.__setattr__(self, "steps", steps)
 
     @classmethod
     def from_syllables(cls, syllables: Sequence[Syllable]) -> "GroupWord":
@@ -173,18 +179,21 @@ def _runs(
     w: GroupWord,
     a_values: Sequence[ReducedWord],
     b_values: Sequence[ReducedWord],
-) -> Iterator[tuple]:
-    """The fold's ``(letters, inverted)`` runs for w under the assignment."""
+) -> list[tuple[int, ...]]:
+    """The fold's runs for w under the assignment: per syllable, the codes of
+    its value, or of the value's inverse if the syllable is inverted."""
     if len(a_values) != w.arity_x or len(b_values) != w.arity_y:
         raise ArityMismatch(
             f"assignment arities ({len(a_values)},{len(b_values)}) do not match "
             f"word arities ({w.arity_x},{w.arity_y})"
         )
-    for s in w.syllables:
-        value = (a_values if s.tuple_name == "x" else b_values)[s.position - 1]
+    runs = []
+    for is_x, index, inverted in w.steps:
+        value = (a_values if is_x else b_values)[index]
         if value.context is not context:
             raise ContextMismatch("assignment value from a different context")
-        yield value.letters, s.exponent < 0
+        runs.append(value.inverse_codes if inverted else value.codes)
+    return runs
 
 
 def evaluate(
@@ -194,7 +203,7 @@ def evaluate(
     b_values: Sequence[ReducedWord],
 ) -> ReducedWord:
     """Value of w under the assignment, in normal form. Annotations are ignored."""
-    return context.from_fold(*context.fold(_runs(context, w, a_values, b_values)))
+    return ReducedWord(tuple(context.fold(_runs(context, w, a_values, b_values))), context)
 
 
 def evaluates_to_identity(
@@ -204,8 +213,7 @@ def evaluates_to_identity(
     b_values: Sequence[ReducedWord],
 ) -> bool:
     """Whether ``evaluate`` would return 1, without building the value."""
-    fids, _ = context.fold(_runs(context, w, a_values, b_values))
-    return not fids
+    return not context.fold(_runs(context, w, a_values, b_values))
 
 
 def evaluate_in_group(

@@ -12,6 +12,7 @@ from ladderlab import (
     ReducedWord,
     load_group,
 )
+from ladderlab.freeproduct import CODE_SHIFT
 
 Z2_DOC = {"name": "Z2", "kind": "cyclic", "order": 2}
 Z3_DOC = {"name": "Z3", "kind": "cyclic", "order": 3}
@@ -216,7 +217,7 @@ def reference_reduce(context, raw):
         f = context.factor(fid)
         f.check_elem(elem)
         _reference_push(context, stack, fid, elem)
-    return ReducedWord(tuple(stack), context)
+    return ReducedWord(tuple(l.factor << CODE_SHIFT | l.elem for l in stack), context)
 
 
 def reference_evaluate(context, w, a_values, b_values):
@@ -240,4 +241,4 @@ def reference_evaluate(context, w, a_values, b_values):
         else:
             for letter in value.letters:
                 _reference_push(context, stack, letter.factor, letter.elem)
-    return ReducedWord(tuple(stack), context)
+    return ReducedWord(tuple(l.factor << CODE_SHIFT | l.elem for l in stack), context)

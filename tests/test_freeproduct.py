@@ -14,8 +14,9 @@ from ladderlab import (
     InvalidElement,
     WordParseError,
 )
+from ladderlab.groups import MAX_FACTOR_ORDER
 
-from conftest import Z2_DOC, Z3_DOC, alternating_ball_count
+from conftest import S3_DOC, Z2_DOC, Z3_DOC, alternating_ball_count
 
 
 def random_raw(rng, context, max_len=10):
@@ -196,3 +197,39 @@ def test_ball_recurrence_crosscheck(z2z3):
         sizes.append(total)
     for r in range(5):
         assert len(z2z3.ball(r)) == sizes[r]
+
+
+def test_equality_and_hash_follow_letters_across_contexts():
+    """A word is its letters: codes are factor * MAX_FACTOR_ORDER + element,
+    so words of Z2*Z3 and Z3*Z2 are equal, and hash equal, exactly when their
+    (factor, element) letters are, whatever groups the factors are."""
+    left = FreeProduct.from_documents([Z2_DOC, Z3_DOC]).ball(3).members
+    right = FreeProduct.from_documents([Z3_DOC, Z2_DOC]).ball(3).members
+    equal = 0
+    for u in left + right:
+        assert u.codes == tuple(l.factor * MAX_FACTOR_ORDER + l.elem for l in u.letters)
+    for u in left:
+        for v in right:
+            same = u.letters == v.letters
+            assert (u == v) == same and (v == u) == same
+            if same:
+                assert hash(u) == hash(v)
+                equal += 1
+    assert 0 < equal < len(left)
+    assert len(set(left) | set(right)) == len({u.letters for u in left + right})
+
+
+def test_stub_factor_anywhere_builds_and_its_letters_raise():
+    stub = {"name": "stub", "kind": "infinite-stub", "supplied_indices": {}}
+    context = FreeProduct.from_documents([stub, S3_DOC, stub, Z3_DOC])
+    for fid in (0, 2):
+        with pytest.raises(InfiniteFactor):
+            context.letter(fid, 1)
+        with pytest.raises(InfiniteFactor):
+            context.reduce([(1, 1), (fid, 0)])
+    with pytest.raises(InfiniteFactor):
+        context.ball(1)
+    u, v = context.letter(1, 1), context.letter(3, 1)
+    assert context.concat(u, u).is_identity  # a transposition of S3
+    assert context.concat(v, v) == context.invert(v) == context.letter(3, 2)
+    assert context.reduce([(3, 1), (1, 1), (1, 1), (3, 1)]) == context.letter(3, 2)

@@ -16,6 +16,7 @@ from ladderlab.report import (
     EXIT_RESOURCE,
     EXIT_VIOLATION,
     REPORT_SCHEMA,
+    VerificationReport,
 )
 
 from conftest import S3_DOC, Z2_DOC, Z3_DOC, many_block_certificate
@@ -801,3 +802,52 @@ def test_cap_only_on_commands_that_build_a_ball(spec_files, capsys):
         assert exc.value.code == 2
     capsys.readouterr()
     assert run(["ball", "--radius", "1", "--cap", "5"] + groups) == EXIT_OK
+
+
+HUMAN_AND_CSV = [
+    (
+        ["bound", "--word", "x1 y1", "--radius", "1"],
+        "bound R(256,2,(max((R(64,2,56874039553220) + 1), R(64,2,56874039553220)) + 1))\n"
+        "rewritten word: x1@0 x2@1 y1@0 y2@1\n"
+        "blocks (ell): 4\n",
+    ),
+    (
+        ["bound", "--word", "x1 y1", "--radius", "1", "--csv"],
+        "word,radius,ell,bound\r\n"
+        'x1 y1,1,4,"R(256,2,(max((R(64,2,56874039553220) + 1), R(64,2,56874039553220)) + 1))"\r\n',
+    ),
+    (
+        ["verify", "--word", "x1 y1", "--radius", "1"],
+        "word            x1 y1\n"
+        "groups          Z2 * Z2\n"
+        "radius          1\n"
+        "bound           R(256,2,(max((R(64,2,56874039553220) + 1), R(64,2,56874039553220)) + 1))\n"
+        "observed index  1\n"
+        "cutoff          8 (hit: false)\n"
+        "verdict         VERIFIED\n"
+        "config digest   3eed8a16131eead366e766d4c9a03fb11a907a664236f24499a1290523e3ee29\n",
+    ),
+    (
+        ["verify", "--word", "x1 y1", "--radius", "1", "--csv"],
+        "word,radius,groups,bound,observed_index,cutoff,cutoff_hit,verdict,config_digest\r\n"
+        'x1 y1,1,Z2*Z2,"R(256,2,(max((R(64,2,56874039553220) + 1), R(64,2,56874039553220)) + 1))",'
+        "1,8,false,VERIFIED,3eed8a16131eead366e766d4c9a03fb11a907a664236f24499a1290523e3ee29\r\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected", HUMAN_AND_CSV, ids=["bound", "bound-csv", "verify", "verify-csv"]
+)
+def test_human_and_csv_output_build_no_json(spec_files, capsys, monkeypatch, argv, expected):
+    """``bound`` and ``verify`` build their JSON document only under
+    ``--json``; the human and CSV text is pinned byte for byte."""
+    from ladderlab import BoundCertificate
+
+    def refuse(self):
+        raise AssertionError("to_json called without --json")
+
+    monkeypatch.setattr(BoundCertificate, "to_json", refuse)
+    monkeypatch.setattr(VerificationReport, "to_json", refuse)
+    assert run(argv + ["--groups", spec_files["z2"], spec_files["z2"]]) == EXIT_OK
+    assert capsys.readouterr().out == expected

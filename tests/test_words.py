@@ -441,3 +441,67 @@ def test_reduce_matches_reference_on_raw_letters(name, request):
             for f, e, h in adjacent
         )
     assert all(seen.values()), seen
+
+
+FOLD_WORDS = ("x1 x1^-1", "x1 y1 y1^-1 x1^-1", "x1 y1 x1^-1 y1^-1", "x1 x1", "x1 y1 x1 y1")
+
+
+def boundary_outcomes(context, w, a_values, b_values):
+    """How each run of w's evaluation met the reduced product before it, read
+    off the reference: "cancel" (the whole run cancelled into it), "merge" (a
+    merge ended at a non-identity letter), "none" (both were non-empty and
+    no letter interacted) or "partial" (some letters cancelled, then none)."""
+    product = context.identity
+    outcomes = []
+    for s in w.syllables:
+        value = (a_values if s.tuple_name == "x" else b_values)[s.position - 1]
+        if s.exponent < 0:
+            value = reference_reduce(context, [
+                (l.factor, context.factors[l.factor].inv(l.elem)) for l in reversed(value.letters)
+            ])
+        after = reference_reduce(context, product.letters + value.letters)
+        lost = len(product) + len(value) - len(after)
+        if product.is_identity or value.is_identity:
+            pass
+        elif lost == 2 * len(value):
+            outcomes.append("cancel")
+        elif lost % 2:
+            outcomes.append("merge")
+        else:
+            outcomes.append("partial" if lost else "none")
+        product = after
+    return outcomes
+
+
+@pytest.mark.parametrize("radius", (3, 4))
+@pytest.mark.parametrize("name", FOLD_CONTEXTS)
+def test_fold_matches_reference_at_every_boundary_outcome(name, radius, request):
+    context = request.getfixturevalue(name)
+    values = context.ball(radius).members
+    rng = random.Random(f"boundary-{name}-{radius}")
+    seen = dict.fromkeys(("cancel", "merge", "none", "partial"), 0)
+    for trial in range(300):
+        if trial % 3:
+            w = random_group_word(rng)
+        else:
+            w = parse_word(rng.choice(FOLD_WORDS))
+        pool = rng.sample(values, 2)
+        a = tuple(rng.choice(pool) for _ in range(w.arity_x))
+        b = tuple(rng.choice(pool) for _ in range(w.arity_y))
+        expected = reference_evaluate(context, w, a, b)
+        assert evaluate(context, w, a, b) == expected
+        assert word_formula(context, w).holds(a, b) == expected.is_identity
+        for outcome in boundary_outcomes(context, w, a, b):
+            seen[outcome] += 1
+        u, v = pool
+        assert context.concat(u, v) == reference_reduce(context, u.letters + v.letters)
+        inverse = [
+            (l.factor, context.factors[l.factor].inv(l.elem)) for l in reversed(u.letters)
+        ]
+        assert context.invert(u) == reference_reduce(context, inverse)
+    assert seen["cancel"] and seen["none"], seen
+    if name == "z2z2z2":
+        # two letters of one Z2 factor always cancel, never merge
+        assert seen["merge"] == 0, seen
+    else:
+        assert seen["merge"], seen
