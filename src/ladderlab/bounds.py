@@ -63,6 +63,19 @@ FORMAT_V2 = "ladderlab-certificate@2"  # the two maximal children
 # (some 200 MB), @1 ell <= 57.
 TRACE_CAP = 10**6
 
+# The fields a base entry records besides its range, kind and value, each
+# with its type, in the order they are written and read.
+_BASE_FIELDS = {"factor": int, "shape": str, "eq_index": int, "neq_index": int}
+# The certificate header: each field's type and whether it may be null, in
+# the order they are written and read.
+_HEADER_FIELDS = {
+    "word": (str, False),
+    "rewritten": (str, False),
+    "ell": (int, False),
+    "radius": (int, True),
+    "num_factors": (int, True),
+}
+
 
 def negation_bound(n: int) -> int:
     """Index bound for the negated formula: reversing both row orders and
@@ -125,12 +138,7 @@ class RangeCert:
             "value": pool.intern(self.value),
         }
         if self.kind == "base":
-            doc.update(
-                factor=self.factor,
-                shape=self.shape,
-                eq_index=self.eq_index,
-                neq_index=self.neq_index,
-            )
+            doc.update((name, getattr(self, name)) for name in _BASE_FIELDS)
         else:
             doc.update(
                 colors=self.colors,
@@ -151,21 +159,10 @@ class RangeCert:
         start, stop = _pair(doc, "range")
         value = _ref(doc, "value", values)
         if _field(doc, "kind", str) == "base":
-            return cls(
-                start=start,
-                stop=stop,
-                kind="base",
-                value=value,
-                factor=_field(doc, "factor", int),
-                shape=_field(doc, "shape", str),
-                eq_index=_field(doc, "eq_index", int),
-                neq_index=_field(doc, "neq_index", int),
-            )
+            base = {name: _field(doc, name, kind) for name, kind in _BASE_FIELDS.items()}
+            return cls(start, stop, "base", value, **base)
         return cls(
-            start=start,
-            stop=stop,
-            kind=doc["kind"],
-            value=value,
+            start, stop, doc["kind"], value,
             colors=_field(doc, "colors", int),
             mu=_ref(doc, "mu", values),
             subproducts=tuple(
@@ -234,11 +231,7 @@ class BoundCertificate:
             "format": self.format,
             "bound": pool.intern(self.bound),
             "bound_text": self.bound_text(),
-            "word": self.word,
-            "rewritten": self.rewritten,
-            "ell": self.ell,
-            "radius": self.radius,
-            "num_factors": self.num_factors,
+            **{name: getattr(self, name) for name in _HEADER_FIELDS},
             "coloring": dict(COLORING),
             "root": list(self.root) if self.root is not None else None,
             "ranges": range_docs,
@@ -267,17 +260,8 @@ class BoundCertificate:
             raise ValueError("certificate field 'bound_text' is not the rendering of its bound")
         if _field(doc, "coloring", dict) != COLORING:
             raise ValueError(f"certificate field 'coloring' is not the product coloring of {CASES_PER_BLOCK} cases per block")
-        return cls(
-            bound=bound,
-            word=_field(doc, "word", str),
-            rewritten=_field(doc, "rewritten", str),
-            ell=_field(doc, "ell", int),
-            radius=_field(doc, "radius", int, optional=True),
-            num_factors=_field(doc, "num_factors", int, optional=True),
-            ranges=ranges,
-            root=_pair(doc, "root", optional=True),
-            format=fmt,
-        )
+        header = {name: _field(doc, name, kind, null) for name, (kind, null) in _HEADER_FIELDS.items()}
+        return cls(bound=bound, ranges=ranges, root=_pair(doc, "root", optional=True), format=fmt, **header)
 
 
 def _proper_subranges(i: int, j: int) -> list[tuple[int, int]]:
@@ -357,9 +341,10 @@ def _build_certificate(
     """The certificate the bound rules give for ``decomp`` with base indices
     ``indices`` (eq, neq per block): every range ``_derive_trace`` derives by
     ``subranges``, rooted at all the blocks, under the ``header`` fields
-    (word, rewritten, radius, num_factors, format). Without blocks there is
-    no root and the bound is 1: the constantly-true formula's index, since a
-    second ladder row would need a failing pair."""
+    (``_HEADER_FIELDS`` and format; ell, if given, is replaced by the blocks'
+    count). Without blocks there is no root and the bound is 1: the
+    constantly-true formula's index, since a second ladder row would need a
+    failing pair."""
     bases = [
         (blk.factor, word_shape(decomp.block_word(i)), eq, neq)
         for i, (blk, (eq, neq)) in enumerate(zip(decomp.blocks, indices))
@@ -367,7 +352,7 @@ def _build_certificate(
     ranges = _derive_trace(bases, 0, subranges)
     root = (0, decomp.ell - 1) if decomp.ell else None
     bound = ranges[root].value if root else bv_exact(1)
-    return BoundCertificate(bound=bound, ell=decomp.ell, ranges=ranges, root=root, **header)
+    return BoundCertificate(bound=bound, ranges=ranges, root=root, **{**header, "ell": decomp.ell})
 
 
 def base_indices(
@@ -486,8 +471,8 @@ def check_certificate(cert: BoundCertificate) -> BoundValue:
             raise ValueError("the rewritten word is not the word's change of variables")
     decomp = _header_field("rewritten", lambda: block_decompose(rewritten))
     indices = [(eq, neq) for *_, eq, neq in _base_entries(cert, 0, decomp.ell - 1)]
-    header = {name: getattr(cert, name) for name in ("word", "rewritten", "radius", "num_factors", "format")}
-    rebuilt = _build_certificate(decomp, indices, subranges, **header)
+    header = {name: getattr(cert, name) for name in _HEADER_FIELDS}
+    rebuilt = _build_certificate(decomp, indices, subranges, format=cert.format, **header)
     # bound values are hash-consed, so == compares the entries' values as nodes
     for key in [*rebuilt.ranges, *cert.ranges]:
         if cert.ranges.get(key) != rebuilt.ranges.get(key):

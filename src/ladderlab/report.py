@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from typing import Mapping, Sequence
 
 from .bounds import theorem_bound
@@ -90,10 +90,13 @@ def serialize_witness(witness: Ladder | None) -> dict | None:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """One run of the harness; its fields, in order, are the JSON report's."""
+
     config_digest: str
     word: str
     radius: int
     bound: str
+    bound_value: dict
     observed_index: int
     cutoff: int
     cutoff_hit: bool
@@ -101,23 +104,10 @@ class VerificationReport:
     timings: Mapping[str, float]
     witness: dict | None
     groups: tuple[str, ...] = ()
-    bound_value: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "config_digest": self.config_digest,
-            "word": self.word,
-            "radius": self.radius,
-            "bound": self.bound,
-            "bound_value": self.bound_value,
-            "observed_index": self.observed_index,
-            "cutoff": self.cutoff,
-            "cutoff_hit": self.cutoff_hit,
-            "verdict": self.verdict,
-            "timings": dict(self.timings),
-            "witness": self.witness,
-            "groups": list(self.groups),
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**doc, "timings": dict(self.timings), "groups": list(self.groups)}
 
     def exit_code(self) -> int:
         if self.verdict == VERDICT_VERIFIED:
@@ -127,29 +117,10 @@ class VerificationReport:
         return EXIT_VIOLATION
 
     def csv_row(self) -> tuple[list[str], list[str]]:
-        header = [
-            "word",
-            "radius",
-            "groups",
-            "bound",
-            "observed_index",
-            "cutoff",
-            "cutoff_hit",
-            "verdict",
-            "config_digest",
-        ]
-        row = [
-            self.word,
-            str(self.radius),
-            "*".join(self.groups),
-            self.bound,
-            str(self.observed_index),
-            str(self.cutoff),
-            str(self.cutoff_hit).lower(),
-            self.verdict,
-            self.config_digest,
-        ]
-        return header, row
+        header = ["word", "radius", "groups", "bound", "observed_index", "cutoff", "cutoff_hit", "verdict",
+                  "config_digest"]
+        text = {"groups": "*".join(self.groups), "cutoff_hit": str(self.cutoff_hit).lower()}
+        return header, [text[name] if name in text else str(getattr(self, name)) for name in header]
 
     def human_table(self) -> str:
         bound = self.bound

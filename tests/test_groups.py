@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -11,6 +12,7 @@ from ladderlab import (
     SpecParseError,
     load_group,
 )
+from ladderlab import groups
 from ladderlab.groups import compose_perms
 
 from conftest import S3_DOC, Z3_DOC, compose_perm_oracle
@@ -180,3 +182,69 @@ def test_compose_perms_matches_oracle():
         rng.shuffle(p)
         rng.shuffle(q)
         assert compose_perms(p, q) == compose_perm_oracle(tuple(p), tuple(q))
+
+
+# -- a JSON boolean is not an integer ----------------------------------------
+
+
+def test_boolean_cyclic_order_rejected():
+    with pytest.raises(SpecParseError, match="'order' must be a natural number >= 1, got True"):
+        load_group({"kind": "cyclic", "order": True}, 0)
+
+
+def test_boolean_table_entries_rejected():
+    doc = {"kind": "table", "order": 2, "table": [[False, True], [True, False]]}
+    with pytest.raises(AxiomViolation, match=r"closure violated: table\[0\]\[0\] = False not an element"):
+        load_group(doc, 0)
+
+
+def test_boolean_generator_rejected():
+    with pytest.raises(SpecParseError, match=r"generator \[True, False\] is not a permutation of 0..1"):
+        load_group({"kind": "perm-gens", "generators": [[True, False]]}, 0)
+
+
+def test_boolean_declared_order_rejected():
+    doc = {"kind": "perm-gens", "generators": [[0, 1]], "order": True}
+    with pytest.raises(SpecParseError, match="declared order True does not match generated order 1"):
+        load_group(doc, 0)
+
+
+def test_boolean_supplied_index_rejected():
+    doc = {"kind": "infinite-stub", "supplied_indices": {"x1 = 1": True}}
+    with pytest.raises(SpecParseError, match="supplied index 'x1 = 1': True must map a string shape to a natural"):
+        load_group(doc, 0)
+
+
+# -- tables associative by construction load without the O(n^3) check --------
+
+
+def _assert_loaded_as(g, elements, compose):
+    """``g``'s table, identity and inverses are those of ``compose`` on
+    ``elements``, element i of ``g`` being ``elements[i]``."""
+    index = {e: i for i, e in enumerate(elements)}
+    assert len(index) == g.order == len(elements)
+    assert g.table == tuple(tuple(index[compose(a, b)] for b in elements) for a in elements)
+    unit = next(e for e in elements if all(compose(e, x) == x for x in elements))
+    assert g.identity == index[unit]
+    assert g.inverses == tuple(
+        next(index[b] for b in elements if compose(a, b) == unit) for a in elements)
+
+
+def test_large_cyclic_loads_as_addition_mod_n():
+    start = time.perf_counter()
+    g = load_group({"kind": "cyclic", "order": 256}, 0)
+    assert time.perf_counter() - start < 0.2
+    assert g.identity == 0 and g.inverses == tuple(-a % 256 for a in range(256))
+    _assert_loaded_as(g, list(range(256)), lambda a, b: (a + b) % 256)
+
+
+def test_large_perm_gens_loads_as_composition():
+    # S5 x Z2 on seven points, order 240: S5 moves 0..4, Z2 swaps 5 and 6
+    gens = [[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 0, 5, 6], [0, 1, 2, 3, 4, 6, 5]]
+    start = time.perf_counter()
+    g = load_group({"kind": "perm-gens", "generators": gens}, 0)
+    assert time.perf_counter() - start < 0.2
+    expected = {p + s for p in itertools.permutations(range(5)) for s in ((5, 6), (6, 5))}
+    elements = groups._close_perm_generators(gens)
+    assert set(elements) == expected
+    _assert_loaded_as(g, elements, compose_perm_oracle)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 from pathlib import Path
@@ -851,3 +852,28 @@ def test_human_and_csv_output_build_no_json(spec_files, capsys, monkeypatch, arg
     monkeypatch.setattr(VerificationReport, "to_json", refuse)
     assert run(argv + ["--groups", spec_files["z2"], spec_files["z2"]]) == EXIT_OK
     assert capsys.readouterr().out == expected
+
+
+def test_cmd_bound_over_boolean_stub_indices_exits_2(capsys, tmp_path):
+    """A stub whose supplied indices are JSON booleans is refused at load, so
+    ``bound`` cannot write a certificate that ``check-cert`` rejects."""
+    specs = Path(__file__).resolve().parent.parent / "specs"
+    stub = json.loads((specs / "stub.json").read_text(encoding="utf-8"))
+    stub["supplied_indices"] = {shape: True for shape in stub["supplied_indices"]}
+    path = tmp_path / "stub.json"
+    path.write_text(json.dumps(stub), encoding="utf-8")
+    code = run(["bound", "--word", "x1 y1", "--radius", "1",
+                "--groups", str(specs / "z2.json"), str(path), "--json"])
+    assert code == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: supplied index 'x1 = 1': True must map a string shape to a natural\n"
+
+
+def test_report_schema_names_the_report_fields(z2z2):
+    """The schema's properties are exactly the report's fields and the keys
+    of its JSON, and every required name is one of them."""
+    properties = set(REPORT_SCHEMA["properties"])
+    doc = run_verify(z2z2, parse_word("x1 y1"), 1).to_json()
+    assert properties == {f.name for f in dataclasses.fields(VerificationReport)} == set(doc)
+    assert set(REPORT_SCHEMA["required"]) <= properties
