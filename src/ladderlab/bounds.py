@@ -451,11 +451,11 @@ def _header_field(name: str, make: Callable[[], object]):
 
 def check_certificate(cert: BoundCertificate) -> BoundValue:
     """The bound, if the certificate equals the one built again from its
-    header (its rewritten word the change of variables of ``word``, when
-    ``radius`` and ``num_factors`` are recorded), the blocks of that word and
-    the recorded base indices; otherwise ValueError (or TypeError,
-    LadderLabError) naming the first range in derivation order, or else the
-    first field, that differs."""
+    header (its rewritten word the change of variables of ``word``, which
+    needs ``radius`` and ``num_factors`` unless ``word`` is empty), the blocks
+    of that word and the recorded base indices; otherwise ValueError (or
+    TypeError, LadderLabError) naming the first range in derivation order, or
+    else the first field, that differs."""
     subranges = _subranges(cert.format)
     rewritten = _header_field("rewritten", lambda: parse_word(cert.rewritten))
     if cert.radius is not None and cert.num_factors is not None:
@@ -470,6 +470,9 @@ def check_certificate(cert: BoundCertificate) -> BoundValue:
         ) != cert.rewritten:
             raise ValueError("the rewritten word is not the word's change of variables")
     decomp = _header_field("rewritten", lambda: block_decompose(rewritten))
+    if (cert.radius is None or cert.num_factors is None) and cert.word != "":
+        # no rewrite to compare the word with; lemma_bound records the empty word
+        raise ValueError("the word field: a word needs radius and num_factors to be checked")
     indices = [(eq, neq) for *_, eq, neq in _base_entries(cert, 0, decomp.ell - 1)]
     header = {name: getattr(cert, name) for name in _HEADER_FIELDS}
     rebuilt = _build_certificate(decomp, indices, subranges, format=cert.format, **header)

@@ -14,11 +14,20 @@ children, as do two b-rows under one a-row that leave the same candidate
 a-rows, so only the first of each is walked. Both drop only subtrees that
 cannot beat the best ladder or that repeat one already walked, so the first
 longest ladder in walk order, and with it the witness, is unchanged.
+
+The walk reads the holds relation only through two mask queries, and where
+they come from depends on the formula. In general each pair is evaluated at
+most once, when the walk first asks for it. For a word formula 'w = 1' whose
+cyclic rotation u(x̄)·v(ȳ) splits, w(ā, b̄) = 1 exactly when u(ā) = v(b̄)⁻¹,
+so each row is folded once into its key and the queries read key buckets.
+When swapping x and y turns w into a rotation of w or of w⁻¹, and both sides
+range over the same rows, the relation is symmetric and each unordered pair
+is folded at most once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import product
 from math import prod
 from typing import Callable, Sequence
@@ -26,7 +35,15 @@ from typing import Callable, Sequence
 from .errors import ArityMismatch, ArityTooLarge, DomainTooLarge, MissingSuppliedIndex
 from .freeproduct import Ball, FreeProduct
 from .groups import FactorElement, FactorGroup
-from .words import GroupWord, evaluate_in_group, evaluates_to_identity, shape_key
+from .words import (
+    GroupWord,
+    evaluate,
+    evaluate_in_group,
+    evaluates_to_identity,
+    shape_key,
+    split_word,
+    swap_symmetric,
+)
 
 DEFAULT_CUTOFF = 8
 BRANCH_CAP = 10**7  # row pairs (|A| x |B|) a ladder search may range over, and its row cells
@@ -34,12 +51,17 @@ BRANCH_CAP = 10**7  # row pairs (|A| x |B|) a ladder search may range over, and 
 
 @dataclass(frozen=True)
 class Formula:
-    """A boolean predicate ``holds(a_row, b_row)`` with fixed arities."""
+    """A boolean predicate ``holds(a_row, b_row)`` with fixed arities.
+
+    ``word_formula`` also records ``word``, its (context, word, negated), from
+    which ``max_ladder`` may fill the holds masks with fewer folds; a formula
+    without it is evaluated pair by pair."""
 
     arity_x: int
     arity_y: int
     holds: Callable[[tuple, tuple], bool]
     description: str = ""
+    word: tuple[FreeProduct, GroupWord, bool] | None = field(default=None, compare=False)
 
 
 def word_formula(
@@ -51,7 +73,7 @@ def word_formula(
         return evaluates_to_identity(context, w, a_row, b_row) != negated
 
     op = "!=" if negated else "="
-    return Formula(w.arity_x, w.arity_y, predicate, f"{w.render()} {op} 1")
+    return Formula(w.arity_x, w.arity_y, predicate, f"{w.render()} {op} 1", (context, w, negated))
 
 
 def group_word_formula(
@@ -170,11 +192,15 @@ def max_ladder(
     Rows range over the domain coordinatewise; per-coordinate domains may be
     supplied for factor-constrained searches. Rows are bits of int masks in
     domain order, taken low to high, so the witness is the lexicographically
-    least maximal ladder. Pairs are evaluated lazily, each at most once, into
-    masks that live for this call only. ``nodes_explored`` counts the pruned
-    walk; subtrees that cannot beat the best ladder, or that repeat a walked
-    one, are skipped, so the index, witness and ``cutoff_hit`` are those of
-    the full walk and no pair is evaluated that it would not evaluate.
+    least maximal ladder. The holds masks are filled lazily and live for this
+    call only. A formula's pairs are evaluated each at most once, and only
+    those the walk visits; a split word formula instead folds each row once,
+    when the walk first needs it, and a swap-symmetric one each unordered
+    pair at most once. ``nodes_explored`` counts the pruned walk; subtrees
+    that cannot beat the best ladder, or that repeat a walked one, are
+    skipped, so the index, witness and ``cutoff_hit`` are those of the full
+    walk, and a formula evaluated pair by pair sees no pair that the full
+    walk would not evaluate.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
@@ -189,37 +215,7 @@ def max_ladder(
 
     a_cands = tuple(product(*[d.values for d in a_doms]))
     b_cands = tuple(product(*[d.values for d in b_doms]))
-    # a-row i: the b-rows evaluated / holding; b-row j: a-rows looked up / holding
-    row_seen, row_true = [0] * len(a_cands), [0] * len(a_cands)
-    col_seen, col_true = [0] * len(b_cands), [0] * len(b_cands)
-
-    def row(i: int, mask: int) -> int:
-        """The b-rows in ``mask`` on which a-row i holds."""
-        todo = mask & ~row_seen[i]
-        row_seen[i] |= todo
-        while todo:
-            j = (todo & -todo).bit_length() - 1
-            todo &= todo - 1
-            if formula.holds(a_cands[i], b_cands[j]):
-                row_true[i] |= 1 << j
-        return row_true[i] & mask
-
-    def col(j: int, mask: int) -> int:
-        """The a-rows in ``mask`` that hold against b-row j. Evaluates the
-        pairs not yet seen itself, recording them as ``row`` does."""
-        todo = mask & ~col_seen[j]
-        col_seen[j] |= todo
-        bit, b_row = 1 << j, b_cands[j]
-        while todo:
-            i = (todo & -todo).bit_length() - 1
-            todo &= todo - 1
-            if not row_seen[i] & bit:
-                row_seen[i] |= bit
-                if formula.holds(a_cands[i], b_row):
-                    row_true[i] |= bit
-            if row_true[i] & bit:
-                col_true[j] |= 1 << i
-        return col_true[j] & mask
+    row, col = _masks(formula, a_doms, b_doms, a_cands, b_cands)
 
     path: list[tuple[int, int]] = []
     best: list[tuple[int, int]] = []
@@ -266,6 +262,158 @@ def max_ladder(
     a_rows = tuple(a_cands[i] for i, _ in best)
     witness = Ladder(len(best), a_rows, tuple(b_cands[j] for _, j in best))
     return IndexResult(witness.m, witness, cutoff_hit, nodes)
+
+
+Masks = Callable[[int, int], int]
+
+
+def _lazy_masks(holds: Callable, a_cands: tuple, b_cands: tuple) -> tuple[Masks, Masks]:
+    """``row`` and ``col`` for any predicate: each pair is evaluated at most
+    once, when a query first asks for it, into masks that live for one
+    search."""
+    # a-row i: the b-rows evaluated / holding; b-row j: a-rows looked up / holding
+    row_seen, row_true = [0] * len(a_cands), [0] * len(a_cands)
+    col_seen, col_true = [0] * len(b_cands), [0] * len(b_cands)
+
+    def row(i: int, mask: int) -> int:
+        """The b-rows in ``mask`` on which a-row i holds."""
+        todo = mask & ~row_seen[i]
+        row_seen[i] |= todo
+        while todo:
+            j = (todo & -todo).bit_length() - 1
+            todo &= todo - 1
+            if holds(a_cands[i], b_cands[j]):
+                row_true[i] |= 1 << j
+        return row_true[i] & mask
+
+    def col(j: int, mask: int) -> int:
+        """The a-rows in ``mask`` that hold against b-row j. Evaluates the
+        pairs not yet seen itself, recording them as ``row`` does."""
+        todo = mask & ~col_seen[j]
+        col_seen[j] |= todo
+        bit, b_row = 1 << j, b_cands[j]
+        while todo:
+            i = (todo & -todo).bit_length() - 1
+            todo &= todo - 1
+            if not row_seen[i] & bit:
+                row_seen[i] |= bit
+                if holds(a_cands[i], b_row):
+                    row_true[i] |= bit
+            if row_true[i] & bit:
+                col_true[j] |= 1 << i
+        return col_true[j] & mask
+
+    return row, col
+
+
+def _symmetric_masks(holds: Callable, cands: tuple) -> tuple[Masks, Masks]:
+    """``row`` and ``col`` for a predicate with holds(cands[i], cands[j]) ==
+    holds(cands[j], cands[i]), over the same rows on both sides. Each pair
+    evaluated is recorded at (i, j) and at (j, i), so an unordered pair is
+    evaluated at most once, and the a-rows that hold against b-row j are the
+    b-rows on which a-row j holds."""
+    seen, true = [0] * len(cands), [0] * len(cands)
+
+    def row(i: int, mask: int) -> int:
+        todo = mask & ~seen[i]
+        if todo:
+            seen[i] |= todo
+            bit, a_row = 1 << i, cands[i]
+            while todo:
+                j = (todo & -todo).bit_length() - 1
+                todo &= todo - 1
+                seen[j] |= bit
+                if holds(a_row, cands[j]):
+                    true[i] |= 1 << j
+                    true[j] |= bit
+        return true[i] & mask
+
+    return row, row
+
+
+def _buckets(key_of: Callable[[int], object], n: int):
+    """Rows 0..n-1 by key. ``key(i)`` computes row i's key once, on first
+    use; ``members(k, mask)`` is the rows in ``mask`` whose key is k, after
+    keying those rows of ``mask`` not keyed yet. A key's mask is built when a
+    query first asks for that key, so unasked keys cost no mask."""
+    keys: list = [None] * n
+    keyed = 0
+    unmasked: dict = {}  # per key without a mask yet, its rows keyed so far
+    masks: dict = {}
+
+    def key(i: int):
+        nonlocal keyed
+        k = keys[i]
+        if k is None:
+            k = keys[i] = key_of(i)
+            keyed |= 1 << i
+            if k in masks:
+                masks[k] |= 1 << i
+            else:
+                unmasked.setdefault(k, []).append(i)
+        return k
+
+    def members(k, mask: int) -> int:
+        todo = mask & ~keyed
+        while todo:
+            i = (todo & -todo).bit_length() - 1
+            todo &= todo - 1
+            key(i)
+        m = masks.get(k)
+        if m is None:
+            m = masks[k] = sum(1 << i for i in unmasked.pop(k, ()))
+        return m & mask
+
+    return key, members
+
+
+def _split_masks(
+    context: FreeProduct,
+    u: GroupWord,
+    v_inverse: GroupWord,
+    a_cands: tuple,
+    b_cands: tuple,
+    negated: bool,
+) -> tuple[Masks, Masks]:
+    """``row`` and ``col`` for 'w = 1' (or '!= 1') where a rotation of w is
+    u(x̄)·v(ȳ): a-row i holds on b-row j exactly when u(ā_i) = v(b̄_j)⁻¹.
+    Each row's side of that equation is one fold, its key."""
+    a_key, a_members = _buckets(lambda i: evaluate(context, u, a_cands[i], ()).codes, len(a_cands))
+    b_key, b_members = _buckets(lambda j: evaluate(context, v_inverse, (), b_cands[j]).codes, len(b_cands))
+
+    def row(i: int, mask: int) -> int:
+        equal = b_members(a_key(i), mask)
+        return mask & ~equal if negated else equal
+
+    def col(j: int, mask: int) -> int:
+        equal = a_members(b_key(j), mask)
+        return mask & ~equal if negated else equal
+
+    return row, col
+
+
+def _masks(
+    formula: Formula,
+    a_doms: list[SearchDomain],
+    b_doms: list[SearchDomain],
+    a_cands: tuple,
+    b_cands: tuple,
+) -> tuple[Masks, Masks]:
+    """The search's ``row(i, mask)``, the b-rows in ``mask`` on which a-row i
+    holds, and ``col(j, mask)``, the a-rows in ``mask`` that hold against
+    b-row j. A word formula whose word splits answers from one key per row;
+    one whose word is swap-symmetric, with the same domains on both sides,
+    evaluates each unordered pair at most once; any other formula evaluates
+    each ordered pair at most once."""
+    if formula.word is not None:
+        context, w, negated = formula.word
+        halves = split_word(w)
+        if halves is not None:
+            return _split_masks(context, *halves, a_cands, b_cands, negated)
+        same = len(a_doms) == len(b_doms) and all(a is b for a, b in zip(a_doms, b_doms))
+        if same and swap_symmetric(w):
+            return _symmetric_masks(formula.holds, a_cands)
+    return _lazy_masks(formula.holds, a_cands, b_cands)
 
 
 def _coordinate_domains(

@@ -216,6 +216,47 @@ def evaluates_to_identity(
     return not context.fold(_runs(context, w, a_values, b_values))
 
 
+# -- word shapes that decide 'w = 1' with fewer folds ---------------------------
+
+
+def split_word(w: GroupWord) -> tuple[GroupWord, GroupWord] | None:
+    """``(u, v⁻¹)`` when a cyclic rotation of w is u(x̄)·v(ȳ), else None.
+
+    A rotation is a conjugate, so w(ā, b̄) = 1 exactly when u(ā) = v(b̄)⁻¹.
+    u keeps w's x-arity and no y-variables, v⁻¹ its y-arity and no
+    x-variables, so ``evaluate(context, u, a_values, ())`` checks the
+    a-values as evaluating w does, and likewise v⁻¹ the b-values."""
+    syllables = w.syllables
+    # the x-block starts at the one x-syllable that follows a y-syllable
+    start = next(
+        (k for k, s in enumerate(syllables)
+         if s.tuple_name == "x" and syllables[k - 1].tuple_name == "y"),
+        0,
+    )
+    rotated = syllables[start:] + syllables[:start]
+    names = [s.tuple_name for s in rotated]
+    if names != sorted(names):  # "x" < "y"
+        return None
+    cut = names.count("x")
+    v_inverse = tuple(s.inverse() for s in reversed(rotated[cut:]))
+    return GroupWord(rotated[:cut], w.arity_x, 0), GroupWord(v_inverse, 0, w.arity_y)
+
+
+def swap_symmetric(w: GroupWord) -> bool:
+    """Whether swapping x and y turns w into a cyclic rotation of w or of
+    w⁻¹. Then w(b̄, ā) is conjugate to w(ā, b̄) or to its inverse, so one is
+    1 exactly when the other is."""
+    if w.arity_x != w.arity_y:
+        return False
+    swapped = tuple((not is_x, index, inverted) for is_x, index, inverted in w.steps)
+    inverse = tuple((is_x, index, not inverted) for is_x, index, inverted in reversed(w.steps))
+    return any(
+        steps[k:] + steps[:k] == swapped
+        for steps in (w.steps, inverse)
+        for k in range(max(len(steps), 1))
+    )
+
+
 def evaluate_in_group(
     group: FactorGroup,
     w: GroupWord,

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -428,3 +429,154 @@ def test_early_stop_evaluations_pinned(z3s3, text, nodes, evaluations):
     assert (result.index, result.cutoff_hit, result.nodes_explored) == (3, True, nodes)
     assert max(calls.values()) == 1
     assert sum(calls.values()) == evaluations
+
+
+# -- word-aware mask sources -------------------------------------------------
+
+MASK_SOURCE_WORDS = [
+    ("x1 x2 y1 y2", "_split_masks"),
+    ("y1 x1 x2 y2", "_split_masks"),  # split only after a rotation
+    ("x1 x2^-1 x1", "_split_masks"),
+    ("y1 y1 y2", "_split_masks"),
+    ("", "_split_masks"),
+    ("x1 y1 x1^-1 y1^-1", "_symmetric_masks"),
+    ("x1 y1 x1 y1", "_symmetric_masks"),
+    ("x1 y1 x2 y2", "_lazy_masks"),  # neither split nor swap-symmetric
+]
+
+
+def _random_ball_domains(request, rng, count=3):
+    """Seeded random subsets of balls of Z2∗Z3, Z3∗S3 and Z2∗Z2∗Z2, in
+    shuffled order."""
+    domains = []
+    for name in ("z2z3", "z3s3", "z2z2z2"):
+        context = request.getfixturevalue(name)
+        members = list(context.ball(3))
+        for _ in range(count):
+            domains.append((context, SearchDomain.from_values(rng.sample(members, rng.randint(3, 6)))))
+    return domains
+
+
+@pytest.mark.parametrize("text, source", MASK_SOURCE_WORDS)
+def test_mask_sources_match_the_generic_masks(request, text, source):
+    from ladderlab.ladder import _coordinate_domains, _lazy_masks, _masks
+
+    rng = random.Random(text)
+    w = parse_word(text)
+    for context, domain in _random_ball_domains(request, rng):
+        a_doms, b_doms = _coordinate_domains(w, domain)
+        a_cands = tuple(itertools.product(*[d.values for d in a_doms]))
+        b_cands = tuple(itertools.product(*[d.values for d in b_doms]))
+        all_a, all_b = (1 << len(a_cands)) - 1, (1 << len(b_cands)) - 1
+        for negated in (False, True):
+            f = word_formula(context, w, negated)
+            g_row, g_col = _lazy_masks(f.holds, a_cands, b_cands)
+            rows = [g_row(i, all_b) for i in range(len(a_cands))]
+            cols = [g_col(j, all_a) for j in range(len(b_cands))]
+            row, col = _masks(f, a_doms, b_doms, a_cands, b_cands)
+            assert row.__qualname__.startswith(source + ".")
+            # random partial queries first, so keys and masks fill mid-walk
+            for _ in range(40):
+                if rng.random() < 0.5:
+                    i, mask = rng.randrange(len(a_cands)), rng.getrandbits(len(b_cands))
+                    assert row(i, mask) == rows[i] & mask
+                else:
+                    j, mask = rng.randrange(len(b_cands)), rng.getrandbits(len(a_cands))
+                    assert col(j, mask) == cols[j] & mask
+            assert [row(i, all_b) for i in range(len(a_cands))] == rows
+            assert [col(j, all_a) for j in range(len(b_cands))] == cols
+
+
+@pytest.mark.parametrize("text, source", MASK_SOURCE_WORDS)
+def test_word_formula_search_equals_the_pairwise_search(request, text, source):
+    rng = random.Random(text)
+    w = parse_word(text)
+    for context, domain in _random_ball_domains(request, rng, count=2):
+        for negated in (False, True):
+            f = word_formula(context, w, negated)
+            generic = Formula(f.arity_x, f.arity_y, f.holds, f.description)
+            for cutoff in (2, 8):
+                assert max_ladder(f, domain, cutoff) == max_ladder(generic, domain, cutoff)
+
+
+def test_split_word_indices_are_at_most_one_and_two(z2z3, z3s3, z2z2z2):
+    # w = 1 iff u(a) = v(b)^-1: a-row i holds on b-row j iff their keys are
+    # equal. Two a-rows that both hold on some b-row share its key, so they
+    # agree on every b-row, and a ladder needs its a-rows to differ on a rung
+    # above the first: '= 1' has index at most 1 and '!= 1' at most 2.
+    rng = random.Random(2009)
+    letters = [(name, p, e) for name in "xy" for p in (1, 2) for e in (1, -1)]
+    reached = set()
+    for context in (z2z3, z3s3, z2z2z2):
+        domain = SearchDomain.from_values(rng.sample(list(context.ball(2)), 5))
+        for _ in range(6):
+            xs = [s for s in rng.choices(letters, k=6) if s[0] == "x"]
+            ys = [s for s in rng.choices(letters, k=6) if s[0] == "y"]
+            syllables = xs + ys
+            k = rng.randrange(len(syllables) + 1)
+            syllables = syllables[k:] + syllables[:k]
+            text = " ".join(f"{n}{p}" + ("^-1" if e < 0 else "") for n, p, e in syllables)
+            w = parse_word(text)
+            for negated, most in ((False, 1), (True, 2)):
+                result = word_index(context, w, domain, cutoff=8, negated=negated)
+                assert not result.cutoff_hit and result.index <= most, (text, negated)
+                reached.add((negated, result.index))
+    assert {(False, 1), (True, 2)} <= reached  # both bounds are met
+
+
+def _count_folds(monkeypatch):
+    from ladderlab.freeproduct import FreeProduct
+
+    calls = [0]
+    fold = FreeProduct.fold
+
+    def counted(self, runs):
+        calls[0] += 1
+        return fold(self, runs)
+
+    monkeypatch.setattr(FreeProduct, "fold", counted)
+    return calls
+
+
+@pytest.mark.parametrize("product, text, radius, cutoff, folds, pairs", [
+    # the verify-search benchmark searches: symmetric words fold each
+    # unordered pair once, split words one key per row
+    ("z3z3", "x1 y1 x1^-1 y1^-1", 3, 8, 435, 29 * 29),
+    ("z3s3", "x1 y1 x1^-1 y1^-1", 2, 8, 406, 28 * 28),
+    ("z2z3", "x1 x2 y1 y2", 2, 8, 128, 64 * 64),
+    ("z2z2z2", "x1 y1 x1^-1 y1^-1", 1, 8, 10, 4 * 4),
+    ("z3z3", "x1 y1", 3, 8, 58, 29 * 29),
+    # early stops: 14,982 and 9,249 folds pair by pair
+    ("z3s3", "x1 y1 x1^-1 y1^-1", 6, 3, 8_991, None),
+    ("z3s3", "x1 y1 x1 y1", 6, 3, 6_252, None),
+    # neither split nor symmetric: the pairwise masks' count
+    ("z2z3", "x1 y1 x2 y2", 6, 3, 10_396, None),
+])
+def test_word_search_fold_counts_pinned(request, monkeypatch, product, text, radius, cutoff, folds, pairs):
+    context = request.getfixturevalue(product)
+    domain = ball_domain(context, radius)
+    calls = _count_folds(monkeypatch)
+    w = parse_word(text)
+    result = word_index(context, w, domain, cutoff=cutoff)
+    assert calls[0] == folds
+    if pairs is not None:  # exhaustive: the pairwise masks fold every pair
+        a_doms, b_doms = [domain] * w.arity_x, [domain] * w.arity_y
+        assert len(domain.values) ** (w.arity_x + w.arity_y) == pairs
+        calls[0] = 0
+        generic = word_formula(context, w)
+        generic = Formula(generic.arity_x, generic.arity_y, generic.holds)
+        assert max_ladder(generic, domain, cutoff, a_doms, b_doms) == result
+        assert calls[0] == pairs
+
+
+@pytest.mark.parametrize("text", ["x1 x2 y1 y2", "x1 y1 x1^-1 y1^-1"])
+def test_word_masks_keep_the_evaluate_checks(z2z2, z2z3, text):
+    w = parse_word(text)
+    foreign = ball_domain(z2z3, 1)
+    with pytest.raises(ContextMismatch):
+        word_index(z2z2, w, foreign)
+    # a formula whose rows are longer than its word's arity
+    f = word_formula(z2z2, w)
+    wide = replace(f, arity_x=f.arity_x + 1, arity_y=f.arity_y + 1)
+    with pytest.raises(ArityMismatch):
+        max_ladder(wide, ball_domain(z2z2, 1))

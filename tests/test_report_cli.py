@@ -717,6 +717,26 @@ def test_check_cert_compares_lengths_before_building_the_template(capsys, tmp_pa
     assert "not the word's change of variables" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("edit", ["null", "delete"])
+@pytest.mark.parametrize("key", ["radius", "num_factors"])
+def test_check_cert_rejects_a_word_without_radius_or_factors(capsys, tmp_path, key, edit):
+    # without both fields the word cannot be rewritten and compared, so only
+    # the empty word, which lemma_bound records, is accepted
+    doc = json.loads(V2_FIXTURE.read_text(encoding="utf-8"))
+    if edit == "null":
+        doc[key] = None
+    else:
+        del doc[key]
+    path = tmp_path / "cert.json"
+    for word, code in (("y1 x1 x1 y1 y2", EXIT_PARSE), (doc["word"], EXIT_PARSE), ("", EXIT_OK)):
+        doc["word"] = word
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run(["check-cert", str(path)]) == code, word
+        out = capsys.readouterr().out
+        if code == EXIT_PARSE:
+            assert out.startswith("invalid ladderlab-certificate@2 certificate: the word field: ")
+
+
 def deep_certificate(levels=2000) -> dict:
     """The fixture with its bound replaced by BSucc(BRamsey(5, .)) nested
     ``levels`` times over the true bound."""
