@@ -216,6 +216,75 @@ class FreeProduct:
         self._check_context(u)
         return ReducedWord(tuple(self.fold((u.inverse_codes,))), self)
 
+    # -- structure ---------------------------------------------------------
+
+    def images(self, values: Iterable[ReducedWord]) -> list[tuple[int, ...]]:
+        """Each value's image under the natural map onto G_0 × … × G_{k-1}:
+        per factor, the product of the value's letters from that factor, in
+        order. The map is a homomorphism, so every relation that holds in the
+        free product holds on the images. A value whose prefix came earlier,
+        as in a ball, takes one step from the prefix's image."""
+        identity = [f.identity for f in self.factors]
+        known: dict[tuple[int, ...], tuple[int, ...]] = {}
+        out = []
+        for value in values:
+            self._check_context(value)
+            codes = value.codes
+            prefix = known.get(codes[:-1]) if codes else None
+            image, rest = (list(prefix), codes[-1:]) if prefix is not None else (identity[:], codes)
+            for c in rest:
+                f = c >> CODE_SHIFT
+                image[f] = self.factors[f].table[image[f]][c & ELEMENT_MASK]
+            known[codes] = image = tuple(image)
+            out.append(image)
+        return out
+
+    def centraliser(self, g: ReducedWord, longest: int) -> list[tuple[int, ...]]:
+        """The codes of the members of g's centraliser no longer than
+        ``longest``, for g ≠ ε.
+
+        Two commuting elements of a free product lie in one conjugate of a
+        factor or are powers of one element (Magnus, Karrass & Solitar,
+        §4.1). So with g = h·t·h⁻¹, t cyclically reduced or one letter, the
+        centraliser is h·C_G(t)·h⁻¹ when t is a letter of the factor G, and
+        h·⟨s⟩·h⁻¹ for the shortest prefix s with t = s^m otherwise.
+        """
+        self._check_context(g)
+        if not g.codes:
+            raise ValueError("the centraliser of ε is the whole group")
+        t, h = list(g.codes), []
+        # peel: conjugate by the first letter while the ends share a factor
+        while len(t) > 1 and t[0] ^ t[-1] <= ELEMENT_MASK:
+            a = t.pop(0)
+            h.append(a)
+            last = t.pop()
+            if last != self._inverse_code[a]:
+                t.append(self._merge[last][a & ELEMENT_MASK])
+                break
+        h_inverse = tuple(self._inverse_code[c] for c in reversed(h))
+        h = tuple(h)
+        members = [()]
+        if len(t) == 1:
+            # t's neighbours in g lie in other factors, so no member reduces
+            fid, x = t[0] >> CODE_SHIFT, t[0] & ELEMENT_MASK
+            f = self.factors[fid]
+            members.extend(
+                h + (fid << CODE_SHIFT | z,) + h_inverse
+                for z in range(f.order)
+                if z != f.identity and f.table[x][z] == f.table[z][x]
+            )
+        else:
+            n = len(t)
+            p = next(p for p in range(1, n + 1) if n % p == 0 and t == t[:p] * (n // p))
+            s = tuple(t[:p])
+            for root in (s, tuple(self._inverse_code[c] for c in reversed(s))):
+                power = root
+                # lengths grow with the exponent, so stop at the first too long
+                while len(member := tuple(self.fold((h, power, h_inverse)))) <= longest:
+                    members.append(member)
+                    power += root
+        return [m for m in members if len(m) <= longest]
+
     # -- ball enumeration --------------------------------------------------
 
     def predicted_ball_size(self, radius: int) -> int:

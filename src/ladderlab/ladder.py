@@ -17,12 +17,18 @@ longest ladder in walk order, and with it the witness, is unchanged.
 
 The walk reads the holds relation only through two mask queries, and where
 they come from depends on the formula. In general each pair is evaluated at
-most once, when the walk first asks for it. For a word formula 'w = 1' whose
-cyclic rotation u(x̄)·v(ȳ) splits, w(ā, b̄) = 1 exactly when u(ā) = v(b̄)⁻¹,
-so each row is folded once into its key and the queries read key buckets.
-When swapping x and y turns w into a rotation of w or of w⁻¹, and both sides
-range over the same rows, the relation is symmetric and each unordered pair
-is folded at most once.
+most once, when the walk first asks for it. A word formula 'w != 1' reads
+the masks of 'w = 1' and takes their complement. For a word whose cyclic
+rotation u(x̄)·v(ȳ) splits, w(ā, b̄) = 1 exactly when u(ā) = v(b̄)⁻¹, so
+each row is folded once into its key and the queries read key buckets. For
+a commutator of x1 and y1, w(a, b) = 1 exactly when a and b commute, so a
+row is its value's centraliser (Magnus, Karrass & Solitar, §4.1), found in
+the other side's domain once. Any other word is folded pair by pair, but
+only on the pairs whose images in the direct product of the factors satisfy
+w there, since the free product maps onto that product; when swapping x and
+y turns w into a rotation of w or of w⁻¹, and both sides range over the
+same rows, the relation is symmetric and each unordered pair is folded at
+most once.
 """
 
 from __future__ import annotations
@@ -32,11 +38,19 @@ from itertools import product
 from math import prod
 from typing import Callable, Sequence
 
-from .errors import ArityMismatch, ArityTooLarge, DomainTooLarge, MissingSuppliedIndex
+from .errors import (
+    ArityMismatch,
+    ArityTooLarge,
+    ContextMismatch,
+    DomainTooLarge,
+    MissingSuppliedIndex,
+)
 from .freeproduct import Ball, FreeProduct
 from .groups import FactorElement, FactorGroup
 from .words import (
     GroupWord,
+    check_arities,
+    commutator_word,
     evaluate,
     evaluate_in_group,
     evaluates_to_identity,
@@ -194,13 +208,15 @@ def max_ladder(
     domain order, taken low to high, so the witness is the lexicographically
     least maximal ladder. The holds masks are filled lazily and live for this
     call only. A formula's pairs are evaluated each at most once, and only
-    those the walk visits; a split word formula instead folds each row once,
-    when the walk first needs it, and a swap-symmetric one each unordered
-    pair at most once. ``nodes_explored`` counts the pruned walk; subtrees
-    that cannot beat the best ladder, or that repeat a walked one, are
-    skipped, so the index, witness and ``cutoff_hit`` are those of the full
-    walk, and a formula evaluated pair by pair sees no pair that the full
-    walk would not evaluate.
+    those the walk visits. A word formula folds less: a split word each row
+    once, when the walk first needs it; a commutator no pair, only the
+    members of each row's centraliser, once; any other word only the pairs
+    whose images in the direct product of the factors pass, a
+    swap-symmetric one each unordered pair at most once. ``nodes_explored``
+    counts the pruned walk; subtrees that cannot beat the best ladder, or
+    that repeat a walked one, are skipped, so the index, witness and
+    ``cutoff_hit`` are those of the full walk, and a formula evaluated pair
+    by pair sees no pair that the full walk would not evaluate.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
@@ -265,12 +281,25 @@ def max_ladder(
 
 
 Masks = Callable[[int, int], int]
+Candidates = Callable[[int], int]
 
 
-def _lazy_masks(holds: Callable, a_cands: tuple, b_cands: tuple) -> tuple[Masks, Masks]:
+def _anything(_: int) -> int:
+    return -1
+
+
+def _lazy_masks(
+    holds: Callable,
+    a_cands: tuple,
+    b_cands: tuple,
+    candidates: tuple[Candidates, Candidates] = (_anything, _anything),
+) -> tuple[Masks, Masks]:
     """``row`` and ``col`` for any predicate: each pair is evaluated at most
     once, when a query first asks for it, into masks that live for one
-    search."""
+    search. ``candidates`` gives per a-row the b-rows, and per b-row the
+    a-rows, outside which the predicate is known to fail; those pairs are
+    never evaluated."""
+    row_cands, col_cands = candidates
     # a-row i: the b-rows evaluated / holding; b-row j: a-rows looked up / holding
     row_seen, row_true = [0] * len(a_cands), [0] * len(a_cands)
     col_seen, col_true = [0] * len(b_cands), [0] * len(b_cands)
@@ -278,46 +307,54 @@ def _lazy_masks(holds: Callable, a_cands: tuple, b_cands: tuple) -> tuple[Masks,
     def row(i: int, mask: int) -> int:
         """The b-rows in ``mask`` on which a-row i holds."""
         todo = mask & ~row_seen[i]
-        row_seen[i] |= todo
-        while todo:
-            j = (todo & -todo).bit_length() - 1
-            todo &= todo - 1
-            if holds(a_cands[i], b_cands[j]):
-                row_true[i] |= 1 << j
+        if todo:
+            row_seen[i] |= todo
+            todo &= row_cands(i)
+            while todo:
+                j = (todo & -todo).bit_length() - 1
+                todo &= todo - 1
+                if holds(a_cands[i], b_cands[j]):
+                    row_true[i] |= 1 << j
         return row_true[i] & mask
 
     def col(j: int, mask: int) -> int:
         """The a-rows in ``mask`` that hold against b-row j. Evaluates the
         pairs not yet seen itself, recording them as ``row`` does."""
         todo = mask & ~col_seen[j]
-        col_seen[j] |= todo
-        bit, b_row = 1 << j, b_cands[j]
-        while todo:
-            i = (todo & -todo).bit_length() - 1
-            todo &= todo - 1
-            if not row_seen[i] & bit:
-                row_seen[i] |= bit
-                if holds(a_cands[i], b_row):
-                    row_true[i] |= bit
-            if row_true[i] & bit:
-                col_true[j] |= 1 << i
+        if todo:
+            col_seen[j] |= todo
+            todo &= col_cands(j)
+            bit, b_row = 1 << j, b_cands[j]
+            while todo:
+                i = (todo & -todo).bit_length() - 1
+                todo &= todo - 1
+                if not row_seen[i] & bit:
+                    row_seen[i] |= bit
+                    if holds(a_cands[i], b_row):
+                        row_true[i] |= bit
+                if row_true[i] & bit:
+                    col_true[j] |= 1 << i
         return col_true[j] & mask
 
     return row, col
 
 
-def _symmetric_masks(holds: Callable, cands: tuple) -> tuple[Masks, Masks]:
+def _symmetric_masks(
+    holds: Callable, cands: tuple, candidates: Candidates = _anything
+) -> tuple[Masks, Masks]:
     """``row`` and ``col`` for a predicate with holds(cands[i], cands[j]) ==
     holds(cands[j], cands[i]), over the same rows on both sides. Each pair
     evaluated is recorded at (i, j) and at (j, i), so an unordered pair is
     evaluated at most once, and the a-rows that hold against b-row j are the
-    b-rows on which a-row j holds."""
+    b-rows on which a-row j holds. ``candidates`` is as for ``_lazy_masks``,
+    one function for both sides."""
     seen, true = [0] * len(cands), [0] * len(cands)
 
     def row(i: int, mask: int) -> int:
         todo = mask & ~seen[i]
         if todo:
             seen[i] |= todo
+            todo &= candidates(i)
             bit, a_row = 1 << i, cands[i]
             while todo:
                 j = (todo & -todo).bit_length() - 1
@@ -373,23 +410,128 @@ def _split_masks(
     v_inverse: GroupWord,
     a_cands: tuple,
     b_cands: tuple,
-    negated: bool,
 ) -> tuple[Masks, Masks]:
-    """``row`` and ``col`` for 'w = 1' (or '!= 1') where a rotation of w is
-    u(x̄)·v(ȳ): a-row i holds on b-row j exactly when u(ā_i) = v(b̄_j)⁻¹.
-    Each row's side of that equation is one fold, its key."""
+    """``row`` and ``col`` for 'w = 1' where a rotation of w is u(x̄)·v(ȳ):
+    a-row i holds on b-row j exactly when u(ā_i) = v(b̄_j)⁻¹. Each row's
+    side of that equation is one fold, its key."""
     a_key, a_members = _buckets(lambda i: evaluate(context, u, a_cands[i], ()).codes, len(a_cands))
     b_key, b_members = _buckets(lambda j: evaluate(context, v_inverse, (), b_cands[j]).codes, len(b_cands))
 
     def row(i: int, mask: int) -> int:
-        equal = b_members(a_key(i), mask)
-        return mask & ~equal if negated else equal
+        return b_members(a_key(i), mask)
 
     def col(j: int, mask: int) -> int:
-        equal = a_members(b_key(j), mask)
-        return mask & ~equal if negated else equal
+        return a_members(b_key(j), mask)
 
     return row, col
+
+
+def _commutator_masks(
+    context: FreeProduct, w: GroupWord, a_doms: list[SearchDomain], b_doms: list[SearchDomain]
+) -> tuple[Masks, Masks]:
+    """``row`` and ``col`` for 'w = 1' where w is a commutator of x1 and y1,
+    which holds exactly when the two values commute: a row is the positions
+    of its value's centraliser in the other side's domain, computed once, on
+    the row's first query. When both sides range over one domain, rows and
+    columns are the same masks."""
+    check_arities(w, len(a_doms), len(b_doms))
+    (a_dom,), (b_dom,) = a_doms, b_doms
+
+    def positions(domain: SearchDomain) -> dict[tuple[int, ...], int]:
+        for value in domain.values:
+            if value.context is not context:
+                raise ContextMismatch("assignment value from a different context")
+        return {value.codes: p for p, value in enumerate(domain.values)}
+
+    def masks(values: tuple, other: SearchDomain, where: dict) -> Masks:
+        longest = max(map(len, where))
+        every = (1 << len(other.values)) - 1
+        rows: list[int | None] = [None] * len(values)
+
+        def row(i: int, mask: int) -> int:
+            m = rows[i]
+            if m is None:
+                g = values[i]
+                m = rows[i] = every if g.is_identity else sum(
+                    1 << where[codes] for codes in context.centraliser(g, longest) if codes in where
+                )
+            return m & mask
+
+        return row
+
+    a_where = positions(a_dom)
+    if a_dom is b_dom:
+        row = masks(a_dom.values, a_dom, a_where)
+        return row, row
+    b_where = positions(b_dom)
+    return masks(a_dom.values, b_dom, b_where), masks(b_dom.values, a_dom, a_where)
+
+
+def _image_filter(
+    context: FreeProduct, w: GroupWord, a_doms: list[SearchDomain], b_doms: list[SearchDomain]
+) -> tuple[Candidates, Candidates]:
+    """Per a-row the b-rows, and per b-row the a-rows, with which it may
+    satisfy 'w = 1'. The free product maps onto the direct product of its
+    factors, so a pair satisfies w = 1 only if, in every factor, w holds on
+    the pair's images. Rows are grouped into classes by their images, and
+    each factor checks w once per pair of its components of two classes'
+    images, when a query first needs that pair."""
+    check_arities(w, len(a_doms), len(b_doms))
+    images: dict[int, list] = {}
+    for d in a_doms + b_doms:
+        if id(d) not in images:
+            images[id(d)] = context.images(d.values)
+    factors = [f for f in context.factors if not f.declared_infinite]
+
+    def classes(doms: list[SearchDomain]) -> tuple[list[int], list[tuple], list[int]]:
+        """Per row its class; per class its images and its rows' mask."""
+        index: dict[tuple, int] = {}
+        row_class = [index.setdefault(key, len(index)) for key in product(*[images[id(d)] for d in doms])]
+        masks = [0] * len(index)
+        for i, c in enumerate(row_class):
+            masks[c] |= 1 << i
+        return row_class, list(index), masks
+
+    def candidates(own: tuple, other: tuple, own_is_x: bool) -> Candidates:
+        own_class, own_images, _ = own
+        _, other_images, other_masks = other
+        # per factor: the other side's rows by that factor's image components
+        by_component: list[dict[tuple, int]] = []
+        for f in factors:
+            rows: dict[tuple, int] = {}
+            for value_images, mask in zip(other_images, other_masks):
+                key = tuple(image[f.id] for image in value_images)
+                rows[key] = rows.get(key, 0) | mask
+            by_component.append(rows)
+        known: list[dict[tuple, int]] = [{} for _ in factors]
+        masks: list[int | None] = [None] * len(own_images)
+
+        def passes(f: FactorGroup, own_key: tuple, other_key: tuple) -> bool:
+            xs, ys = (own_key, other_key) if own_is_x else (other_key, own_key)
+            return evaluate_in_group(f, w, xs, ys) == f.identity
+
+        def of(i: int) -> int:
+            c = own_class[i]
+            m = masks[c]
+            if m is None:
+                m = -1
+                for f, rows, seen in zip(factors, by_component, known):
+                    key = tuple(image[f.id] for image in own_images[c])
+                    if key not in seen:
+                        seen[key] = sum(mask for k, mask in rows.items() if passes(f, key, k))
+                    m &= seen[key]
+                masks[c] = m
+            return m
+
+        return of
+
+    a_side = classes(a_doms)
+    b_side = a_side if _same_domains(a_doms, b_doms) else classes(b_doms)
+    return candidates(a_side, b_side, True), candidates(b_side, a_side, False)
+
+
+def _same_domains(a_doms: list[SearchDomain], b_doms: list[SearchDomain]) -> bool:
+    return len(a_doms) == len(b_doms) and all(a is b for a, b in zip(a_doms, b_doms))
 
 
 def _masks(
@@ -401,19 +543,31 @@ def _masks(
 ) -> tuple[Masks, Masks]:
     """The search's ``row(i, mask)``, the b-rows in ``mask`` on which a-row i
     holds, and ``col(j, mask)``, the a-rows in ``mask`` that hold against
-    b-row j. A word formula whose word splits answers from one key per row;
-    one whose word is swap-symmetric, with the same domains on both sides,
-    evaluates each unordered pair at most once; any other formula evaluates
-    each ordered pair at most once."""
-    if formula.word is not None:
-        context, w, negated = formula.word
-        halves = split_word(w)
-        if halves is not None:
-            return _split_masks(context, *halves, a_cands, b_cands, negated)
-        same = len(a_doms) == len(b_doms) and all(a is b for a, b in zip(a_doms, b_doms))
-        if same and swap_symmetric(w):
-            return _symmetric_masks(formula.holds, a_cands)
-    return _lazy_masks(formula.holds, a_cands, b_cands)
+    b-row j. A formula without a word evaluates each ordered pair at most
+    once. A word formula answers 'w = 1', and takes the complement within
+    the mask for 'w != 1': a word that splits from one key per row; a
+    commutator from one centraliser per row; any other word pair by pair,
+    each unordered pair at most once if it is swap-symmetric with the same
+    domains on both sides, and only the pairs whose images pass the
+    direct-product filter."""
+    if formula.word is None:
+        return _lazy_masks(formula.holds, a_cands, b_cands)
+    context, w, negated = formula.word
+    halves = split_word(w)
+    if halves is not None:
+        row, col = _split_masks(context, *halves, a_cands, b_cands)
+    elif commutator_word(w):
+        row, col = _commutator_masks(context, w, a_doms, b_doms)
+    else:
+        row_cands, col_cands = _image_filter(context, w, a_doms, b_doms)
+        holds = word_formula(context, w).holds
+        if _same_domains(a_doms, b_doms) and swap_symmetric(w):
+            row, col = _symmetric_masks(holds, a_cands, row_cands)
+        else:
+            row, col = _lazy_masks(holds, a_cands, b_cands, (row_cands, col_cands))
+    if not negated:
+        return row, col
+    return (lambda i, mask: mask & ~row(i, mask)), (lambda j, mask: mask & ~col(j, mask))
 
 
 def _coordinate_domains(

@@ -174,6 +174,15 @@ def render_word(w: GroupWord) -> str:
 # -- evaluation ---------------------------------------------------------------
 
 
+def check_arities(w: GroupWord, arity_x: int, arity_y: int) -> None:
+    """Raise ArityMismatch unless an assignment of these arities fits w."""
+    if arity_x != w.arity_x or arity_y != w.arity_y:
+        raise ArityMismatch(
+            f"assignment arities ({arity_x},{arity_y}) do not match "
+            f"word arities ({w.arity_x},{w.arity_y})"
+        )
+
+
 def _runs(
     context: FreeProduct,
     w: GroupWord,
@@ -182,11 +191,7 @@ def _runs(
 ) -> list[tuple[int, ...]]:
     """The fold's runs for w under the assignment: per syllable, the codes of
     its value, or of the value's inverse if the syllable is inverted."""
-    if len(a_values) != w.arity_x or len(b_values) != w.arity_y:
-        raise ArityMismatch(
-            f"assignment arities ({len(a_values)},{len(b_values)}) do not match "
-            f"word arities ({w.arity_x},{w.arity_y})"
-        )
+    check_arities(w, len(a_values), len(b_values))
     runs = []
     for is_x, index, inverted in w.steps:
         value = (a_values if is_x else b_values)[index]
@@ -257,6 +262,21 @@ def swap_symmetric(w: GroupWord) -> bool:
     )
 
 
+def commutator_word(w: GroupWord) -> bool:
+    """Whether w is a spelling of [x1^±1, y1^±1] up to cyclic rotation:
+    arity (1, 1), four syllables that alternate x and y cyclically, and each
+    variable once with +1 and once with -1. Then w(a, b) = 1 exactly when a
+    commutes with b."""
+    steps = w.steps
+    return (
+        (w.arity_x, w.arity_y) == (1, 1)
+        and len(steps) == 4
+        and all(steps[k][0] != steps[k - 1][0] for k in range(4))
+        and steps[0][2] != steps[2][2]
+        and steps[1][2] != steps[3][2]
+    )
+
+
 def evaluate_in_group(
     group: FactorGroup,
     w: GroupWord,
@@ -264,11 +284,7 @@ def evaluate_in_group(
     b_elems: Sequence[int],
 ) -> int:
     """Value of w inside one finite group, as an element index."""
-    if len(a_elems) != w.arity_x or len(b_elems) != w.arity_y:
-        raise ArityMismatch(
-            f"assignment arities ({len(a_elems)},{len(b_elems)}) do not match "
-            f"word arities ({w.arity_x},{w.arity_y})"
-        )
+    check_arities(w, len(a_elems), len(b_elems))
     result = group.identity
     for s in w.syllables:
         e = (a_elems if s.tuple_name == "x" else b_elems)[s.position - 1]

@@ -59,6 +59,11 @@ def z2z2z2():
     return FreeProduct.from_documents([Z2_DOC, Z2_DOC, Z2_DOC])
 
 
+@pytest.fixture(scope="session")
+def s3s3():
+    return FreeProduct.from_documents([S3_DOC, S3_DOC])
+
+
 def many_block_certificate(blocks: int, fmt: str = "ladderlab-certificate@1") -> dict:
     """A certificate document over ``blocks`` alternating one-letter blocks
     that records their base entries (indices 1 and 1) and nothing else:

@@ -233,3 +233,107 @@ def test_stub_factor_anywhere_builds_and_its_letters_raise():
     assert context.concat(u, u).is_identity  # a transposition of S3
     assert context.concat(v, v) == context.invert(v) == context.letter(3, 2)
     assert context.reduce([(3, 1), (1, 1), (1, 1), (3, 1)]) == context.letter(3, 2)
+
+
+# -- the direct-product image and centralisers ---------------------------------
+
+
+def _product_of_images(context, u, v):
+    return tuple(
+        f.table[x][y] if not f.declared_infinite else x
+        for f, x, y in zip(context.factors, u, v)
+    )
+
+
+@pytest.mark.parametrize("name", ["z2z3", "z3s3", "z2z2z2", "s3s3"])
+def test_image_is_a_homomorphism(request, name):
+    context = request.getfixturevalue(name)
+    rng = random.Random(name)
+    members = list(context.ball(3))
+    identity = tuple(f.identity for f in context.factors)
+    assert context.images([context.identity]) == [identity]
+    for _ in range(200):
+        u, v = rng.choice(members), rng.choice(members)
+        values = [context.concat(u, v), u, v, u.inverse()]
+        # images taken from scratch and, listed the other way, from prefixes
+        for images in (context.images(values), context.images(values[::-1])[::-1]):
+            image_uv, image_u, image_v, image_u_inverse = images
+            assert image_uv == _product_of_images(context, image_u, image_v)
+            assert _product_of_images(context, image_u, image_u_inverse) == identity
+
+
+@pytest.mark.parametrize("name", ["z2z3", "z3s3", "z2z2z2", "s3s3"])
+def test_image_filter_is_sound(request, name):
+    # w(a, b) = 1 in the free product forces w = 1 on the images, factor by factor
+    from ladderlab import evaluate_in_group, parse_word
+    from ladderlab.words import evaluates_to_identity
+
+    context = request.getfixturevalue(name)
+    rng = random.Random(name)
+    members = list(context.ball(2))
+    words = [parse_word(t) for t in
+             ("x1 y1 x1^-1 y1^-1", "x1 y1 x1 y1", "x1 y1 x2 y2", "x1 x1 y1 x1 y1^-1")]
+    seen = 0
+    for _ in range(3_000):
+        w = rng.choice(words)
+        a = [rng.choice(members) for _ in range(w.arity_x)]
+        b = [rng.choice(members) for _ in range(w.arity_y)]
+        if not evaluates_to_identity(context, w, a, b):
+            continue
+        seen += 1
+        images = context.images(a + b)
+        for f in context.factors:
+            xs = [image[f.id] for image in images[: w.arity_x]]
+            ys = [image[f.id] for image in images[w.arity_x :]]
+            assert evaluate_in_group(f, w, xs, ys) == f.identity
+    assert seen > 100
+
+
+def _brute_centraliser(context, g, members):
+    return {z.codes for z in members if context.concat(g, z) == context.concat(z, g)}
+
+
+@pytest.mark.parametrize("name, radius, longest", [
+    ("z2z3", 3, 6), ("z3s3", 3, 4), ("z2z2z2", 3, 5), ("s3s3", 2, 3), ("z2z2", 3, 8),
+])
+def test_centraliser_equals_brute_force(request, name, radius, longest):
+    context = request.getfixturevalue(name)
+    members = list(context.ball(longest))
+    for g in context.ball(radius):
+        if g.is_identity:
+            continue
+        assert set(context.centraliser(g, longest)) == _brute_centraliser(context, g, members), g.render()
+
+
+def test_centraliser_shapes(z2z3, z3s3, s3s3, z2z2z2):
+    # the peeling cases by name, each against brute force
+    def product(context, *values):
+        out = context.identity
+        for v in values:
+            out = context.concat(out, v)
+        return out
+
+    a, b = z3s3.letter(0, 1), z3s3.letter(1, 1)
+    s = z2z3.concat(z2z3.letter(0, 1), z2z3.letter(1, 1))
+    h = product(z2z2z2, z2z2z2.letter(0, 1), z2z2z2.letter(1, 1))
+    s3 = s3s3.factors[1]
+    cycle = next(c for c in range(s3.order) if c != s3.identity and s3.mul(s3.mul(c, c), c) == s3.identity)
+    x, c = s3s3.letter(0, 1), s3s3.letter(1, cycle)
+    cases = [
+        # first and last letters in one factor, last != first^-1: t merges
+        (z3s3, product(z3s3, a, b, a), 5, []),
+        # a proper power t = s^2: s is a member
+        (z2z3, product(z2z3, s, s), 6, [s, s.inverse()]),
+        # a conjugated letter over three factors: h z h^-1 for z in C_G(c)
+        (z2z2z2, product(z2z2z2, h, z2z2z2.letter(2, 1), h.inverse()), 5, []),
+        # a conjugated 3-cycle of S3: its square is a member too
+        (s3s3, product(s3s3, x, c, x.inverse()), 3, [product(s3s3, x, c, c, x.inverse())]),
+    ]
+    for context, g, longest, more in cases:
+        found = set(context.centraliser(g, longest))
+        assert found == _brute_centraliser(context, g, context.ball(longest)), g.render()
+        assert {(), g.codes, g.inverse().codes} | {m.codes for m in more} <= found, g.render()
+    with pytest.raises(ValueError):
+        z2z3.centraliser(z2z3.identity, 4)
+    with pytest.raises(ContextMismatch):
+        z2z3.centraliser(z3s3.letter(0, 1), 4)

@@ -13,6 +13,7 @@ from ladderlab import (
     ContextMismatch,
     DomainTooLarge,
     Formula,
+    FreeProduct,
     MissingSuppliedIndex,
     SearchDomain,
     formula_and,
@@ -28,7 +29,7 @@ from ladderlab import (
     word_index,
 )
 
-from conftest import naive_max_ladder, reference_max_ladder
+from conftest import S3_DOC, naive_max_ladder, reference_max_ladder
 
 
 def ball_domain(context, r):
@@ -439,9 +440,22 @@ MASK_SOURCE_WORDS = [
     ("x1 x2^-1 x1", "_split_masks"),
     ("y1 y1 y2", "_split_masks"),
     ("", "_split_masks"),
-    ("x1 y1 x1^-1 y1^-1", "_symmetric_masks"),
+    ("x1 y1 x1^-1 y1^-1", "_commutator_masks"),
+    ("x1 y1 x1 y1", "_symmetric_masks"),  # filtered by the images
+    ("x1 y1 x2 y2", "_lazy_masks"),  # neither split nor swap-symmetric; filtered
+]
+
+# [x1^±1, y1^±1] in all eight spellings up to rotation: w = 1 iff x1 y1 = y1 x1
+COMMUTATOR_SPELLINGS = [
+    "x1 y1 x1^-1 y1^-1", "x1 y1^-1 x1^-1 y1", "x1^-1 y1 x1 y1^-1", "x1^-1 y1^-1 x1 y1",
+    "y1 x1 y1^-1 x1^-1", "y1 x1^-1 y1^-1 x1", "y1^-1 x1 y1 x1^-1", "y1^-1 x1^-1 y1 x1",
+]
+
+STRUCTURE_SOURCE_WORDS = [(text, "_commutator_masks") for text in COMMUTATOR_SPELLINGS] + [
+    ("x1 y1 x2 y2", "_lazy_masks"),
     ("x1 y1 x1 y1", "_symmetric_masks"),
-    ("x1 y1 x2 y2", "_lazy_masks"),  # neither split nor swap-symmetric
+    ("x1 x1 y1 x1 y1^-1", "_lazy_masks"),
+    ("x1 y1 x2 y1^-1 x1^-1", "_lazy_masks"),
 ]
 
 
@@ -457,34 +471,77 @@ def _random_ball_domains(request, rng, count=3):
     return domains
 
 
-@pytest.mark.parametrize("text, source", MASK_SOURCE_WORDS)
-def test_mask_sources_match_the_generic_masks(request, text, source):
+def _structure_domains(request, rng, w, pairs=4_096):
+    """Balls of radius 1 to 4 with at most ``pairs`` row pairs for w, and two
+    shuffled subsets of ball(3) that are not prefix-closed, over Z2∗Z3,
+    Z3∗S3, Z2∗Z2∗Z2, S3∗S3 and the one-factor product S3."""
+    arity = w.arity_x + w.arity_y
+    contexts = [request.getfixturevalue(n) for n in ("z2z3", "z3s3", "z2z2z2", "s3s3")]
+    domains = []
+    for context in contexts + [FreeProduct.from_documents([S3_DOC])]:
+        for r in range(1, 5):
+            ball = context.ball(r)
+            if len(ball) ** arity > pairs:
+                break
+            domains.append((context, SearchDomain.from_ball(ball)))
+        members = list(context.ball(3))
+        for _ in range(2):
+            while True:
+                values = rng.sample(members, rng.randint(3, min(12, len(members) - 1, int(pairs ** (1 / arity)))))
+                codes = {v.codes for v in values}
+                if any(v.codes[:-1] not in codes for v in values if v.codes):
+                    break
+            domains.append((context, SearchDomain.from_values(values)))
+    return domains
+
+
+def _masks_match_the_generic_masks(context, w, domain, source, rng):
+    """``_masks`` takes its masks from ``source`` and, in both polarities,
+    answers random partial queries and then the full matrix as the generic
+    ``_lazy_masks`` do."""
     from ladderlab.ladder import _coordinate_domains, _lazy_masks, _masks
 
+    a_doms, b_doms = _coordinate_domains(w, domain)
+    a_cands = tuple(itertools.product(*[d.values for d in a_doms]))
+    b_cands = tuple(itertools.product(*[d.values for d in b_doms]))
+    all_a, all_b = (1 << len(a_cands)) - 1, (1 << len(b_cands)) - 1
+    # a word formula's source does not depend on its polarity
+    row, _ = _masks(word_formula(context, w), a_doms, b_doms, a_cands, b_cands)
+    assert row.__qualname__.startswith(source + ".")
+    for negated in (False, True):
+        f = word_formula(context, w, negated)
+        g_row, g_col = _lazy_masks(f.holds, a_cands, b_cands)
+        rows = [g_row(i, all_b) for i in range(len(a_cands))]
+        cols = [g_col(j, all_a) for j in range(len(b_cands))]
+        row, col = _masks(f, a_doms, b_doms, a_cands, b_cands)
+        # random partial queries first, so keys and masks fill mid-walk
+        for _ in range(40):
+            if rng.random() < 0.5:
+                i, mask = rng.randrange(len(a_cands)), rng.getrandbits(len(b_cands))
+                assert row(i, mask) == rows[i] & mask
+            else:
+                j, mask = rng.randrange(len(b_cands)), rng.getrandbits(len(a_cands))
+                assert col(j, mask) == cols[j] & mask
+        assert [row(i, all_b) for i in range(len(a_cands))] == rows
+        assert [col(j, all_a) for j in range(len(b_cands))] == cols
+
+
+@pytest.mark.parametrize("text, source", MASK_SOURCE_WORDS)
+def test_mask_sources_match_the_generic_masks(request, text, source):
     rng = random.Random(text)
     w = parse_word(text)
     for context, domain in _random_ball_domains(request, rng):
-        a_doms, b_doms = _coordinate_domains(w, domain)
-        a_cands = tuple(itertools.product(*[d.values for d in a_doms]))
-        b_cands = tuple(itertools.product(*[d.values for d in b_doms]))
-        all_a, all_b = (1 << len(a_cands)) - 1, (1 << len(b_cands)) - 1
-        for negated in (False, True):
-            f = word_formula(context, w, negated)
-            g_row, g_col = _lazy_masks(f.holds, a_cands, b_cands)
-            rows = [g_row(i, all_b) for i in range(len(a_cands))]
-            cols = [g_col(j, all_a) for j in range(len(b_cands))]
-            row, col = _masks(f, a_doms, b_doms, a_cands, b_cands)
-            assert row.__qualname__.startswith(source + ".")
-            # random partial queries first, so keys and masks fill mid-walk
-            for _ in range(40):
-                if rng.random() < 0.5:
-                    i, mask = rng.randrange(len(a_cands)), rng.getrandbits(len(b_cands))
-                    assert row(i, mask) == rows[i] & mask
-                else:
-                    j, mask = rng.randrange(len(b_cands)), rng.getrandbits(len(a_cands))
-                    assert col(j, mask) == cols[j] & mask
-            assert [row(i, all_b) for i in range(len(a_cands))] == rows
-            assert [col(j, all_a) for j in range(len(b_cands))] == cols
+        _masks_match_the_generic_masks(context, w, domain, source, rng)
+
+
+@pytest.mark.parametrize("text, source", STRUCTURE_SOURCE_WORDS)
+def test_structure_sources_match_the_generic_masks(request, text, source):
+    # centraliser rows and the image filter, over balls and over subsets
+    # whose values' prefixes are missing, so images are computed from scratch
+    rng = random.Random(text)
+    w = parse_word(text)
+    for context, domain in _structure_domains(request, rng, w):
+        _masks_match_the_generic_masks(context, w, domain, source, rng)
 
 
 @pytest.mark.parametrize("text, source", MASK_SOURCE_WORDS)
@@ -495,7 +552,20 @@ def test_word_formula_search_equals_the_pairwise_search(request, text, source):
         for negated in (False, True):
             f = word_formula(context, w, negated)
             generic = Formula(f.arity_x, f.arity_y, f.holds, f.description)
-            for cutoff in (2, 8):
+            for cutoff in (2, 3, 8):
+                assert max_ladder(f, domain, cutoff) == max_ladder(generic, domain, cutoff)
+
+
+@pytest.mark.parametrize("text, source", STRUCTURE_SOURCE_WORDS)
+def test_structure_sources_search_equals_the_pairwise_search(request, text, source):
+    # the whole IndexResult, nodes_explored included
+    rng = random.Random(text)
+    w = parse_word(text)
+    for context, domain in _structure_domains(request, rng, w, pairs=1_024):
+        for negated in (False, True):
+            f = word_formula(context, w, negated)
+            generic = Formula(f.arity_x, f.arity_y, f.holds, f.description)
+            for cutoff in (2, 3, 8):
                 assert max_ladder(f, domain, cutoff) == max_ladder(generic, domain, cutoff)
 
 
@@ -539,18 +609,24 @@ def _count_folds(monkeypatch):
 
 
 @pytest.mark.parametrize("product, text, radius, cutoff, folds, pairs", [
-    # the verify-search benchmark searches: symmetric words fold each
-    # unordered pair once, split words one key per row
-    ("z3z3", "x1 y1 x1^-1 y1^-1", 3, 8, 435, 29 * 29),
-    ("z3s3", "x1 y1 x1^-1 y1^-1", 2, 8, 406, 28 * 28),
+    # the verify-search benchmark searches: a commutator's row is its
+    # value's centraliser, a split word's one key per row; ``pairs`` is the
+    # pairwise masks' count, which folds every pair of an exhaustive search
+    ("z3z3", "x1 y1 x1^-1 y1^-1", 3, 8, 64, 29 * 29),
+    ("z3s3", "x1 y1 x1^-1 y1^-1", 2, 8, 80, 28 * 28),
     ("z2z3", "x1 x2 y1 y2", 2, 8, 128, 64 * 64),
-    ("z2z2z2", "x1 y1 x1^-1 y1^-1", 1, 8, 10, 4 * 4),
+    ("z2z2z2", "x1 y1 x1^-1 y1^-1", 1, 8, 0, 4 * 4),  # letters: no fold at all
     ("z3z3", "x1 y1", 3, 8, 58, 29 * 29),
-    # early stops: 14,982 and 9,249 folds pair by pair
-    ("z3s3", "x1 y1 x1^-1 y1^-1", 6, 3, 8_991, None),
-    ("z3s3", "x1 y1 x1 y1", 6, 3, 6_252, None),
-    # neither split nor symmetric: the pairwise masks' count
-    ("z2z3", "x1 y1 x2 y2", 6, 3, 10_396, None),
+    # the decide benchmark's early stops; the other words fold only the
+    # pairs whose images pass the direct-product filter
+    ("z3s3", "x1 y1 x1^-1 y1^-1", 5, 3, 0, 4_982),
+    ("z3s3", "x1 y1 x1^-1 y1^-1", 6, 3, 0, 14_982),
+    ("z3s3", "x1 y1 x1 y1", 4, 3, 171, 1_089),
+    ("z3s3", "x1 y1 x1 y1", 5, 3, 591, 3_249),
+    ("z3s3", "x1 y1 x1 y1", 6, 3, 1_255, 9_249),
+    ("z2z3", "x1 y1 x2 y2", 4, 3, 337, 2_130),
+    ("z2z3", "x1 y1 x2 y2", 5, 3, 808, 4_892),
+    ("z2z3", "x1 y1 x2 y2", 6, 3, 1_580, 10_396),
 ])
 def test_word_search_fold_counts_pinned(request, monkeypatch, product, text, radius, cutoff, folds, pairs):
     context = request.getfixturevalue(product)
@@ -559,14 +635,14 @@ def test_word_search_fold_counts_pinned(request, monkeypatch, product, text, rad
     w = parse_word(text)
     result = word_index(context, w, domain, cutoff=cutoff)
     assert calls[0] == folds
-    if pairs is not None:  # exhaustive: the pairwise masks fold every pair
-        a_doms, b_doms = [domain] * w.arity_x, [domain] * w.arity_y
+    calls[0] = 0
+    generic = word_formula(context, w)
+    generic = Formula(generic.arity_x, generic.arity_y, generic.holds)
+    a_doms, b_doms = [domain] * w.arity_x, [domain] * w.arity_y
+    assert max_ladder(generic, domain, cutoff, a_doms, b_doms) == result
+    assert calls[0] == pairs
+    if not result.cutoff_hit:
         assert len(domain.values) ** (w.arity_x + w.arity_y) == pairs
-        calls[0] = 0
-        generic = word_formula(context, w)
-        generic = Formula(generic.arity_x, generic.arity_y, generic.holds)
-        assert max_ladder(generic, domain, cutoff, a_doms, b_doms) == result
-        assert calls[0] == pairs
 
 
 @pytest.mark.parametrize("text", ["x1 x2 y1 y2", "x1 y1 x1^-1 y1^-1"])
@@ -580,3 +656,32 @@ def test_word_masks_keep_the_evaluate_checks(z2z2, z2z3, text):
     wide = replace(f, arity_x=f.arity_x + 1, arity_y=f.arity_y + 1)
     with pytest.raises(ArityMismatch):
         max_ladder(wide, ball_domain(z2z2, 1))
+
+
+@pytest.mark.parametrize("text", ["x1 y1 x2 y2", "x1 x1 y1 x1 y1^-1"])
+def test_filtered_word_masks_keep_the_evaluate_checks(z2z2, z2z3, text):
+    w = parse_word(text)
+    with pytest.raises(ContextMismatch):
+        word_index(z2z2, w, ball_domain(z2z3, 1))
+    f = word_formula(z2z2, w)
+    wide = replace(f, arity_x=f.arity_x + 1, arity_y=f.arity_y + 1)
+    with pytest.raises(ArityMismatch):
+        max_ladder(wide, ball_domain(z2z2, 1))
+
+
+def test_filter_that_rejects_every_pair_keeps_the_checks(monkeypatch, z2z2, z2z3):
+    # over the Z2 letter b alone, x1 x1 y1 x1 y1^-1 maps to b^3 = b != 1 in
+    # Z2, so the filter rejects the only pair and nothing is folded
+    w = parse_word("x1 x1 y1 x1 y1^-1")
+    calls = _count_folds(monkeypatch)
+    b = SearchDomain.from_values([z2z3.letter(0, 1)])
+    assert word_index(z2z3, w, b).index == 0
+    assert word_index(z2z3, w, b, negated=True).index == 1
+    assert calls[0] == 0
+    # the same codes in another context, and rows wider than the word
+    with pytest.raises(ContextMismatch):
+        word_index(z2z2, w, b)
+    f = word_formula(z2z3, w)
+    with pytest.raises(ArityMismatch):
+        max_ladder(replace(f, arity_x=2), b)
+    assert calls[0] == 0

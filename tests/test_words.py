@@ -505,3 +505,20 @@ def test_fold_matches_reference_at_every_boundary_outcome(name, radius, request)
         assert seen["merge"] == 0, seen
     else:
         assert seen["merge"], seen
+
+
+def test_commutator_word_shapes():
+    from ladderlab.words import commutator_word
+
+    spellings = [
+        f"{p}^{e} {q}^{f} {p}^{-e} {q}^{-f}".replace("^1", "")
+        for p, q in (("x1", "y1"), ("y1", "x1"))
+        for e in (1, -1)
+        for f in (1, -1)
+    ]
+    assert len(set(spellings)) == 8
+    for text in spellings:
+        assert commutator_word(parse_word(text)), text
+    for text in ("x1 y1 x1 y1", "x1 y1 x1^-1 y1", "x1 x1^-1 y1 y1^-1", "x1 y1 x2^-1 y1^-1",
+                 "x2 y1 x2^-1 y1^-1", "x1 y1 x1^-1 y1^-1 x1 y1 x1^-1 y1^-1", "x1 y1", ""):
+        assert not commutator_word(parse_word(text)), text
